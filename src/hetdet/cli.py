@@ -203,7 +203,7 @@ class _Resolver:
         if raw is None:
             return None
         try:
-            value = kind(raw)
+            value = _coerce(raw, kind)
         except (TypeError, ValueError):
             raise ConfigError(f"{key} must be a {kind.__name__}") from None
         if minimum is not None and value < minimum:
@@ -211,29 +211,23 @@ class _Resolver:
         return value
 
 
-def _parse_float_list(raw, key) -> tuple:
+def _coerce(raw, kind):
+    """kind(raw), refusing JSON values int() would misread: true as 1, 300.7 as 300."""
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"not a {kind.__name__}: {raw!r}")
+    return kind(raw)
+
+
+def _parse_list(raw, key, kind) -> tuple:
     if raw is None:
         return ()
     if isinstance(raw, str):
         raw = [part for part in raw.split(",") if part.strip()]
     try:
-        values = tuple(float(v) for v in raw)
+        return tuple(_coerce(v, kind) for v in raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a comma list of numbers") from None
-    if not values:
-        raise ConfigError(f"{key} must be non-empty")
-    return values
-
-
-def _parse_int_list(raw, key) -> tuple:
-    if raw is None:
-        return ()
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part.strip()]
-    try:
-        return tuple(int(v) for v in raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a comma list of integers") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{key} must be a comma list of {noun}") from None
 
 
 def _parse_detectors(raw) -> tuple:
@@ -279,6 +273,32 @@ def _build_scenario(res: _Resolver, snr_db: float = 0.0) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _grid_scenario(scen: ScenarioConfig, grid_kind: str, value: float) -> ScenarioConfig:
+    """The scenario of one grid point: a heterogeneity level, Gamma shape or SNR."""
+    if grid_kind == "delta":
+        return replace(scen, delta=value, texture_shape=None)
+    if grid_kind == "q":
+        return replace(scen, delta=None, texture_shape=value)
+    return replace(scen, snr_db=value)
+
+
+def _parse_grid(res: _Resolver, scen: ScenarioConfig, grid_kind: str) -> tuple:
+    """The `<grid_kind>_grid` values, each checked by the scenario it will build.
+
+    A bad value is a configuration error, found before any simulation runs.
+    """
+    key = f"{grid_kind}_grid"
+    grid = _parse_list(res.get(key), key, float)
+    if not grid:
+        raise ConfigError(f"--{grid_kind}-grid needs at least one value")
+    try:
+        for value in grid:
+            _grid_scenario(scen, grid_kind, value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    return grid
 
 
 def _build_estimation(res: _Resolver, scen: ScenarioConfig) -> EstimationConfig:
@@ -344,11 +364,12 @@ def parse_config(argv=None) -> RunConfig:
     if command == "calibrate" and trials < floor:
         raise ConfigError(f"trials must be at least ceil(100 / pfa) = {floor}")
 
+    base = RunConfig(
+        command=command, scenario=scen, estimation=est, detectors=detectors,
+        pfa=pfa, trials=trials, seed=seed, out=out, workers=workers,
+    )
     if command == "calibrate":
-        return RunConfig(
-            command=command, scenario=scen, estimation=est, detectors=detectors,
-            pfa=pfa, trials=trials, seed=seed, out=out, workers=workers,
-        )
+        return base
 
     if command == "cfar-sweep":
         if scen.delta not in (None, 0.0) or scen.texture_shape is not None:
@@ -362,12 +383,11 @@ def parse_config(argv=None) -> RunConfig:
             bad = [k.value for k in detectors if k.requires_truth]
             if bad:
                 raise ConfigError(f"recorded data carries no ground truth for: {', '.join(bad)}")
-            return RunConfig(
-                command=command, scenario=scen, estimation=est, detectors=detectors,
-                pfa=pfa, trials=trials, seed=seed, out=out, workers=workers,
+            return replace(
+                base,
                 cal_trials=cal_trials, cal_seed=cal_seed,
                 recorded=str(recorded),
-                bins=_parse_int_list(res.get("bins"), "bins") or None,
+                bins=_parse_list(res.get("bins"), "bins", int) or None,
                 stride=res.number("stride", scen.k, int, minimum=1),
                 offset=res.number("offset", 0.0, float),
                 offset_mode=str(res.get("offset_mode", "literal")),
@@ -375,40 +395,33 @@ def parse_config(argv=None) -> RunConfig:
             )
         if (delta_grid is None) == (q_grid is None):
             raise ConfigError("exactly one of --delta-grid and --q-grid is required")
-        if delta_grid is not None:
-            grid, grid_kind = _parse_float_list(delta_grid, "delta_grid"), "delta"
-        else:
-            grid, grid_kind = _parse_float_list(q_grid, "q_grid"), "q"
-        return RunConfig(
-            command=command, scenario=scen, estimation=est, detectors=detectors,
-            pfa=pfa, trials=trials, seed=seed, out=out, workers=workers,
-            grid=grid, grid_kind=grid_kind, cal_trials=cal_trials, cal_seed=cal_seed,
+        grid_kind = "delta" if delta_grid is not None else "q"
+        return replace(
+            base, grid=_parse_grid(res, scen, grid_kind), grid_kind=grid_kind,
+            cal_trials=cal_trials, cal_seed=cal_seed,
         )
 
     if command == "pd-curve":
-        grid = _parse_float_list(res.get("snr_grid"), "snr_grid")
-        if not grid:
-            raise ConfigError("--snr-grid is required")
-        return RunConfig(
-            command=command, scenario=scen, estimation=est, detectors=detectors,
-            pfa=pfa, trials=trials, seed=seed, out=out, workers=workers,
-            grid=grid, grid_kind="snr", cal_trials=cal_trials, cal_seed=cal_seed,
+        return replace(
+            base, grid=_parse_grid(res, scen, "snr"), grid_kind="snr",
+            cal_trials=cal_trials, cal_seed=cal_seed,
         )
 
     try:
         algorithm = AlgorithmTag.parse(str(res.get("algorithm", "alg1")))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(
-        command=command, scenario=scen, estimation=est, detectors=(),
-        pfa=pfa, trials=trials, seed=seed, out=out, workers=workers,
-        algorithm=algorithm, snr_db=res.number("snr_db", 10.0, float),
-    )
+    return replace(base, algorithm=algorithm, snr_db=res.number("snr_db", 10.0, float))
 
 
-def _manifest_path(out: str) -> str:
+def _finish(out: str, payload: dict) -> int:
+    """Write the manifest beside the artifact `out`, then print both paths."""
     stem, ext = os.path.splitext(out)
-    return (stem if ext == ".csv" else out) + ".manifest.json"
+    manifest = (stem if ext == ".csv" else out) + ".manifest.json"
+    write_manifest(manifest, payload)
+    _emit(out)
+    _emit(manifest)
+    return EXIT_OK
 
 
 def _mean_interference_power(scen: ScenarioConfig) -> float:
@@ -484,13 +497,13 @@ def _run_cfar_sweep(config: RunConfig) -> int:
         curves = {kind: [] for kind in config.detectors}
         window_counts = {}
         for bin_label in bins:
-            bursts = sliding_bursts(series, bin_label, config.scenario.k, config.stride)
-            window_counts[int(bin_label)] = len(bursts)
-            _progress(f"bin {bin_label}: {len(bursts)} sliding bursts")
-            stats = statistics_for_bursts(bursts, config.detectors, config.estimation)
+            windows = sliding_bursts(series, bin_label, config.scenario.k, config.stride)
+            window_counts[int(bin_label)] = len(windows)
+            _progress(f"bin {bin_label}: {len(windows)} sliding bursts")
+            stats = statistics_for_bursts(windows, config.detectors, config.estimation)
             for kind in config.detectors:
                 exceed = int(np.count_nonzero(stats[kind] > thresholds[kind].eta))
-                curves[kind].append(curve_point(float(bin_label), exceed, len(bursts)))
+                curves[kind].append(curve_point(float(bin_label), exceed, len(windows)))
         extra = {
             "recorded": config.recorded,
             "bins": [int(b) for b in bins],
@@ -501,12 +514,7 @@ def _run_cfar_sweep(config: RunConfig) -> int:
             "windows_per_bin": window_counts,
         }
     else:
-        scens = [
-            replace(white, delta=value, texture_shape=None)
-            if config.grid_kind == "delta"
-            else replace(white, delta=None, texture_shape=value)
-            for value in config.grid
-        ]
+        scens = [_grid_scenario(white, config.grid_kind, value) for value in config.grid]
         _progress(
             f"estimating pfa on {len(scens)} {config.grid_kind} points, "
             f"{config.trials} trials each"
@@ -523,11 +531,7 @@ def _run_cfar_sweep(config: RunConfig) -> int:
     payload["cal_seed"] = config.cal_seed
     payload["calibration_scenario"] = white
     payload["thresholds"] = _threshold_etas(thresholds)
-    manifest = _manifest_path(config.out)
-    write_manifest(manifest, payload)
-    _emit(config.out)
-    _emit(manifest)
-    return EXIT_OK
+    return _finish(config.out, payload)
 
 
 def _run_pd_curve(config: RunConfig) -> int:
@@ -548,11 +552,7 @@ def _run_pd_curve(config: RunConfig) -> int:
     payload["cal_trials"] = config.cal_trials
     payload["cal_seed"] = config.cal_seed
     payload["thresholds"] = _threshold_etas(thresholds)
-    manifest = _manifest_path(config.out)
-    write_manifest(manifest, payload)
-    _emit(config.out)
-    _emit(manifest)
-    return EXIT_OK
+    return _finish(config.out, payload)
 
 
 def _run_convergence(config: RunConfig) -> int:
@@ -568,11 +568,7 @@ def _run_convergence(config: RunConfig) -> int:
     payload = _base_manifest(config, time.monotonic() - started)
     payload["algorithm"] = config.algorithm
     payload["snr_db"] = config.snr_db
-    manifest = _manifest_path(config.out)
-    write_manifest(manifest, payload)
-    _emit(config.out)
-    _emit(manifest)
-    return EXIT_OK
+    return _finish(config.out, payload)
 
 
 def _run_power_trace(config: RunConfig) -> int:
@@ -580,19 +576,13 @@ def _run_power_trace(config: RunConfig) -> int:
     series = ingest_recorded(
         config.recorded, config.offset, config.offset_mode, config.offset_seed
     )
-    if config.bin_label is not None:
-        lines = ["pulse_index,power"]
-        powers = pulse_powers(series, config.bin_label)
-        for pulse, value in enumerate(powers):
-            lines.append(f"{pulse},{float(value)!r}")
-        bins = [config.bin_label]
-    else:
-        lines = ["bin_index,pulse_index,power"]
-        bins = [int(b) for b in series.bin_labels]
-        for bin_label in bins:
-            powers = pulse_powers(series, bin_label)
-            for pulse, value in enumerate(powers):
-                lines.append(f"{bin_label},{pulse},{float(value)!r}")
+    single = config.bin_label is not None
+    bins = [config.bin_label] if single else [int(b) for b in series.bin_labels]
+    lines = ["pulse_index,power" if single else "bin_index,pulse_index,power"]
+    for bin_label in bins:
+        prefix = "" if single else f"{bin_label},"
+        for pulse, value in enumerate(pulse_powers(series, bin_label)):
+            lines.append(f"{prefix}{pulse},{float(value)!r}")
     with open(config.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     payload = {
@@ -606,11 +596,7 @@ def _run_power_trace(config: RunConfig) -> int:
         "offset_seed": config.offset_seed,
         "wall_time_s": time.monotonic() - started,
     }
-    manifest = _manifest_path(config.out)
-    write_manifest(manifest, payload)
-    _emit(config.out)
-    _emit(manifest)
-    return EXIT_OK
+    return _finish(config.out, payload)
 
 
 _RUNNERS = {

@@ -22,9 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import EstimationConfig, cyclic_em_batch, cyclic_ml_batch, gaussian_loglik
+from .estimation import (
+    EstimationConfig,
+    _h0_variances,
+    cyclic_em_batch,
+    cyclic_ml_batch,
+    em_init,
+    gaussian_loglik,
+    ml_init,
+)
 from .numerics import log1p_mills
-from .scenario import Burst
+from .scenario import Burst, directions
 
 __all__ = [
     "Decision",
@@ -102,18 +110,6 @@ def angular_statistic(directions: np.ndarray, m: np.ndarray, sigma2: np.ndarray)
     return -msq * np.sum(1.0 / (2.0 * sigma2), axis=-1) + np.sum(log1p_mills(t), axis=-1)
 
 
-def _loglik_h0(x: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    q = np.sum(x * x, axis=-1)
-    return -np.sum(np.log(2.0 * np.pi * sigma2) + q / (2.0 * sigma2), axis=-1)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(x * x, axis=-1))
-
-
-_NEEDS_ESTIMATION = {DetectorKind.GD_HE, DetectorKind.AGD, DetectorKind.C_GD_HE, DetectorKind.C_AGD}
-
-
 def statistics_batch(
     x: np.ndarray,
     kinds,
@@ -160,32 +156,21 @@ def statistics_batch(
         if true_sigma2.shape[-1] != k or np.any(true_sigma2 <= 0):
             raise ValueError("true_sigma2 must be positive with K entries")
 
-    z = None
-    if needs_z:
-        norms = _norms(x)
-        if np.any(norms == 0.0):
-            raise ValueError("cannot normalize a zero-norm sample")
-        z = x / norms[..., None]
+    z = directions(x)[0] if needs_z else None
 
     m1 = s21 = None
     if needs_alg1:
-        init = np.maximum(np.sum(x * x, axis=-1), cfg.c0)
-        m1, s21, _, _ = cyclic_ml_batch(x, init, cfg.c0, cfg.n_co1, cfg.eps)
+        m1, s21, _, _ = cyclic_ml_batch(x, ml_init(x, cfg), cfg.c0, cfg.n_co1, cfg.eps)
 
     m2 = s22 = None
     if needs_em:
-        if cfg.paper_init:
-            m0 = x.mean(axis=1)
-            s20 = np.maximum(0.5 * np.sum((x - m0[:, None, :]) ** 2, axis=-1), cfg.c0)
-        else:
-            m0 = z.mean(axis=1)
-            s20 = np.maximum(0.5 * np.sum((z - m0[:, None, :]) ** 2, axis=-1), cfg.c0)
+        m0, s20 = em_init(x, z, cfg)
         m2, s22, _, _ = cyclic_em_batch(
             z, m0, s20, cfg.c0, cfg.n_co2, cfg.n_em_m, cfg.n_em_sigma,
             cfg.eps1, cfg.eps2, cfg.eps3,
         )
 
-    ll0 = _loglik_h0(x, np.maximum(0.5 * np.sum(x * x, axis=-1), cfg.c0)) if needs_h0 else None
+    ll0 = gaussian_loglik(x, np.zeros(2), _h0_variances(x, cfg.c0)) if needs_h0 else None
 
     out = {}
     for kind in kinds:

@@ -11,8 +11,9 @@ by a variance floor c0:
   an inner pass over the variances, cycled until the direction-domain
   log-likelihood settles.
 
-The batched engines work on stacks of bursts ((B, K, 2) arrays) with
-per-burst early stopping; the public per-burst operations wrap them.  Every
+The batched engines work on stacks of bursts ((B, K, 2) arrays) and share
+one ascent driver with per-burst early stopping; each engine supplies only
+its update step, and the public per-burst operations wrap them.  Every
 step is an exact coordinate ascent or EM step, so all traces are
 non-decreasing up to float rounding.
 """
@@ -121,40 +122,68 @@ def _h0_variances(x: np.ndarray, c0: float) -> np.ndarray:
     return np.maximum(0.5 * np.sum(x * x, axis=-1), c0)
 
 
+def ml_init(x: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
+    """Starting variances of the cyclic ML ascent: floored per-sample energies."""
+    return np.maximum(np.sum(x * x, axis=-1), cfg.c0)
+
+
+def em_init(x: np.ndarray, z: np.ndarray, cfg: EstimationConfig):
+    """Starting (mean, variances) of the direction EM: floored moments of z, or of x under paper_init."""
+    u = x if cfg.paper_init else z
+    m0 = u.mean(axis=1)
+    return m0, np.maximum(0.5 * np.sum((u - m0[:, None, :]) ** 2, axis=-1), cfg.c0)
+
+
+def _ascend(step, state, consts, ll0, n_max: int, eps: float):
+    """Early-stopping ascent shared by the batched engines.
+
+    `state` and `consts` are tuples of per-burst arrays (leading axis B);
+    `step(*state, *consts)` maps the rows of the still-active bursts to
+    (new state tuple, new log-likelihood).  A burst stops once its
+    log-likelihood moves by less than eps, and its rows are then left alone.
+    Returns (state, trace (B, n_max + 1) with ll0 in column 0 and NaN past
+    each burst's stopping point, iteration counts (B,)).
+    """
+    state = tuple(np.array(s, dtype=float) for s in state)
+    b = ll0.shape[0]
+    trace = np.full((b, n_max + 1), np.nan)
+    trace[:, 0] = ll0
+    iters = np.zeros(b, dtype=int)
+    active = np.ones(b, dtype=bool)
+    for n in range(1, n_max + 1):
+        new, ll_new = step(*(s[active] for s in state), *(c[active] for c in consts))
+        for s, value in zip(state, new):
+            s[active] = value
+        # Every burst active now was active at n - 1, so column n - 1 holds its last value.
+        done = np.abs(ll_new - trace[active, n - 1]) < eps
+        trace[active, n] = ll_new
+        iters[active] = n
+        active[np.nonzero(active)[0][done]] = False
+        if not active.any():
+            break
+    return state, trace, iters
+
+
 def cyclic_ml_batch(x: np.ndarray, sigma2_init: np.ndarray, c0: float, n_max: int, eps: float):
     """Cyclic ML over stacked bursts.
 
     Returns (m (B,2), sigma2 (B,K), loglik trace (B,n_max) NaN-padded past
-    each burst's stopping point, iteration counts (B,)).
+    each burst's stopping point, iteration counts (B,)).  The first iteration
+    has no predecessor to compare with, so no burst stops there.
     """
-    b = x.shape[0]
-    m = np.zeros((b, 2))
-    s2 = np.array(sigma2_init, dtype=float)
-    trace = np.full((b, n_max), np.nan)
-    iters = np.zeros(b, dtype=int)
-    ll_prev = np.zeros(b)
-    active = np.ones(b, dtype=bool)
-    for n in range(1, n_max + 1):
-        xa = x[active]
-        w = 1.0 / s2[active]
+
+    def step(m, s2, xa):
+        w = 1.0 / s2
         m_new = np.sum(xa * w[..., None], axis=1) / np.sum(w, axis=1)[:, None]
         resid = xa - m_new[:, None, :]
         s2_new = np.maximum(0.5 * np.sum(resid * resid, axis=-1), c0)
-        ll_new = gaussian_loglik(xa, m_new, s2_new)
-        m[active] = m_new
-        s2[active] = s2_new
-        trace[active, n - 1] = ll_new
-        iters[active] = n
-        if n > 1:
-            done = np.abs(ll_new - ll_prev[active]) < eps
-        else:
-            done = np.zeros(ll_new.shape, dtype=bool)
-        ll_prev[active] = ll_new
-        idx = np.nonzero(active)[0]
-        active[idx[done]] = False
-        if not active.any():
-            break
-    return m, s2, trace, iters
+        return (m_new, s2_new), gaussian_loglik(xa, m_new, s2_new)
+
+    b = x.shape[0]
+    (m, s2), trace, iters = _ascend(
+        step, (np.zeros((b, 2)), sigma2_init), (x,), np.full(b, -np.inf), n_max, eps
+    )
+    return m, s2, trace[:, 1:], iters
 
 
 def em_mean_batch(z: np.ndarray, m_init: np.ndarray, sigma2: np.ndarray, n_max: int, eps: float):
@@ -162,31 +191,17 @@ def em_mean_batch(z: np.ndarray, m_init: np.ndarray, sigma2: np.ndarray, n_max: 
 
     Trace has n_max + 1 columns; column 0 is the log-likelihood at m_init.
     """
-    b = z.shape[0]
-    m = np.array(m_init, dtype=float)
-    trace = np.full((b, n_max + 1), np.nan)
-    trace[:, 0] = angular_loglik(z, m, sigma2)
-    iters = np.zeros(b, dtype=int)
-    ll_prev = trace[:, 0].copy()
-    active = np.ones(b, dtype=bool)
-    sig = np.sqrt(sigma2)
+
+    def step(m, za, s2, w, w_sum):
+        h = cond_mean_norm(np.einsum("bkj,bj->bk", za, m), s2)
+        m_new = np.sum((h * w)[..., None] * za, axis=1) / w_sum[:, None]
+        return (m_new,), angular_loglik(za, m_new, s2)
+
     w = 1.0 / sigma2
-    w_sum = np.sum(w, axis=1)
-    for n in range(1, n_max + 1):
-        za = z[active]
-        p = np.einsum("bkj,bj->bk", za, m[active])
-        h = cond_mean_norm(p, sigma2[active])
-        m_new = np.sum((h * w[active])[..., None] * za, axis=1) / w_sum[active][:, None]
-        ll_new = angular_loglik(za, m_new, sigma2[active])
-        m[active] = m_new
-        trace[active, n] = ll_new
-        iters[active] = n
-        done = np.abs(ll_new - ll_prev[active]) < eps
-        ll_prev[active] = ll_new
-        idx = np.nonzero(active)[0]
-        active[idx[done]] = False
-        if not active.any():
-            break
+    (m,), trace, iters = _ascend(
+        step, (m_init,), (z, sigma2, w, np.sum(w, axis=1)),
+        angular_loglik(z, m_init, sigma2), n_max, eps,
+    )
     return m, trace, iters
 
 
@@ -196,29 +211,15 @@ def em_sigma_batch(z: np.ndarray, m: np.ndarray, sigma2_init: np.ndarray, c0: fl
     The floored update is the constrained maximizer of each step's surrogate,
     so the trace stays non-decreasing.  Trace column 0 is the starting value.
     """
-    b = z.shape[0]
-    s2 = np.array(sigma2_init, dtype=float)
-    trace = np.full((b, n_max + 1), np.nan)
-    trace[:, 0] = angular_loglik(z, m, s2)
-    iters = np.zeros(b, dtype=int)
-    ll_prev = trace[:, 0].copy()
-    active = np.ones(b, dtype=bool)
-    p_all = np.einsum("bkj,bj->bk", z, m)
-    msq_all = np.sum(m * m, axis=-1)[:, None]
-    for n in range(1, n_max + 1):
-        pa = p_all[active]
-        r = cond_mean_sq_residual(pa, s2[active], msq_all[active])
-        s2_new = np.maximum(0.5 * r, c0)
-        ll_new = angular_loglik(z[active], m[active], s2_new)
-        s2[active] = s2_new
-        trace[active, n] = ll_new
-        iters[active] = n
-        done = np.abs(ll_new - ll_prev[active]) < eps
-        ll_prev[active] = ll_new
-        idx = np.nonzero(active)[0]
-        active[idx[done]] = False
-        if not active.any():
-            break
+
+    def step(s2, za, ma, p, msq):
+        s2_new = np.maximum(0.5 * cond_mean_sq_residual(p, s2, msq), c0)
+        return (s2_new,), angular_loglik(za, ma, s2_new)
+
+    consts = (z, m, np.einsum("bkj,bj->bk", z, m), np.sum(m * m, axis=-1)[:, None])
+    (s2,), trace, iters = _ascend(
+        step, (sigma2_init,), consts, angular_loglik(z, m, sigma2_init), n_max, eps
+    )
     return s2, trace, iters
 
 
@@ -240,29 +241,15 @@ def cyclic_em_batch(
     Returns (m, sigma2, outer trace (B, n_co2 + 1) with the initialization in
     column 0, outer iteration counts).
     """
-    b = z.shape[0]
-    m = np.array(m_init, dtype=float)
-    s2 = np.array(sigma2_init, dtype=float)
-    trace = np.full((b, n_co2 + 1), np.nan)
-    trace[:, 0] = angular_loglik(z, m, s2)
-    iters = np.zeros(b, dtype=int)
-    ll_prev = trace[:, 0].copy()
-    active = np.ones(b, dtype=bool)
-    for i in range(1, n_co2 + 1):
-        za = z[active]
-        m_new, _, _ = em_mean_batch(za, m[active], s2[active], n_em_m, eps1)
-        s2_new, _, _ = em_sigma_batch(za, m_new, s2[active], c0, n_em_sigma, eps2)
-        ll_new = angular_loglik(za, m_new, s2_new)
-        m[active] = m_new
-        s2[active] = s2_new
-        trace[active, i] = ll_new
-        iters[active] = i
-        done = np.abs(ll_new - ll_prev[active]) < eps3
-        ll_prev[active] = ll_new
-        idx = np.nonzero(active)[0]
-        active[idx[done]] = False
-        if not active.any():
-            break
+
+    def step(m, s2, za):
+        m_new, _, _ = em_mean_batch(za, m, s2, n_em_m, eps1)
+        s2_new, _, _ = em_sigma_batch(za, m_new, s2, c0, n_em_sigma, eps2)
+        return (m_new, s2_new), angular_loglik(za, m_new, s2_new)
+
+    (m, s2), trace, iters = _ascend(
+        step, (m_init, sigma2_init), (z,), angular_loglik(z, m_init, sigma2_init), n_co2, eps3
+    )
     return m, s2, trace, iters
 
 
@@ -315,10 +302,7 @@ def em_mean_step(inv: InvariantBurst, m: np.ndarray, sigma2: np.ndarray) -> np.n
         raise ValueError("m must be a finite 2-vector")
     if s2.shape != (inv.k,) or np.any(s2 <= 0):
         raise ValueError("sigma2 must be a positive (K,) vector")
-    p = z @ m
-    h = cond_mean_norm(p, s2)
-    w = 1.0 / s2
-    return np.sum((h * w)[:, None] * z, axis=0) / np.sum(w)
+    return em_mean_batch(z[None], m[None], s2[None], 1, 0.0)[0][0]
 
 
 def em_sigma_step(inv: InvariantBurst, m: np.ndarray, sigma2: np.ndarray, c0: float) -> np.ndarray:
@@ -332,9 +316,7 @@ def em_sigma_step(inv: InvariantBurst, m: np.ndarray, sigma2: np.ndarray, c0: fl
         raise ValueError("sigma2 must be a positive (K,) vector")
     if not (np.isfinite(c0) and c0 > 0):
         raise ValueError("c0 must be finite and > 0")
-    p = z @ m
-    r = cond_mean_sq_residual(p, s2, float(m @ m))
-    return np.maximum(0.5 * r, c0)
+    return em_sigma_batch(z[None], m[None], s2[None], c0, 1, 0.0)[0][0]
 
 
 def cyclic_em(inv: InvariantBurst, cfg: EstimationConfig, m_init: np.ndarray, sigma2_init: np.ndarray) -> ParamEstimate:

@@ -25,10 +25,12 @@ from .estimation import (
     EstimationConfig,
     cyclic_em_batch,
     cyclic_ml_batch,
+    em_init,
     em_mean_batch,
     em_sigma_batch,
+    ml_init,
 )
-from .scenario import Burst, Hypothesis, ScenarioConfig, gen_block
+from .scenario import Hypothesis, ScenarioConfig, directions, gen_block
 
 BLOCK_SIZE = 512
 _WILSON_Z = 1.96
@@ -138,9 +140,7 @@ def curve_point(abscissa: float, successes: int, trials: int) -> CurvePoint:
 def _sample_block(args):
     kinds, cfg, scen, hypothesis, seed, start, count = args
     x, sigma2 = gen_block(scen, hypothesis, seed, start, count)
-    if DetectorKind.CD in kinds:
-        return statistics_batch(x, kinds, cfg, true_mean=scen.target_mean, true_sigma2=sigma2)
-    return statistics_batch(x, kinds, cfg)
+    return statistics_batch(x, kinds, cfg, true_mean=scen.target_mean, true_sigma2=sigma2)
 
 
 def sample_statistics(
@@ -172,20 +172,20 @@ def sample_statistics(
     if workers == 1 or len(blocks) == 1:
         results = [_sample_block(b) for b in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool forks all of its workers at the first submit, used or not.
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             results = list(pool.map(_sample_block, blocks))
     return {kind: np.concatenate([r[kind] for r in results]) for kind in kinds}
 
 
 def statistics_for_bursts(bursts, kinds, cfg: EstimationConfig | None = None) -> dict:
-    """Requested statistics over a list of equal-length bursts."""
-    bursts = list(bursts)
-    if not bursts:
+    """Requested statistics over stacked equal-length bursts, shape (W, K, 2).
+
+    This is the input `sliding_bursts` returns; ragged input is rejected.
+    """
+    x = np.asarray(bursts, dtype=float)
+    if x.size == 0:
         raise ValueError("at least one burst is required")
-    lengths = {b.k for b in bursts}
-    if len(lengths) != 1:
-        raise ValueError("all bursts must have the same length")
-    x = np.stack([b.samples for b in bursts])
     return statistics_batch(x, kinds, cfg)
 
 
@@ -242,6 +242,24 @@ def _h0_abscissa(scen: ScenarioConfig) -> float:
     return float(scen.delta if scen.delta is not None else scen.texture_shape)
 
 
+def _exceedance_curves(kinds, cfg, thresholds: dict, points, hypothesis, trials, seed, workers) -> dict:
+    """Exceedance-rate curves over (abscissa, scenario) points.
+
+    Every detector sees the same simulated bursts at each point.  A threshold
+    is one CalibratedThreshold, or a sequence holding one per point.
+    Returns {kind: [CurvePoint, ...]}.
+    """
+    curves = {kind: [] for kind in kinds}
+    for i, (abscissa, scen) in enumerate(points):
+        stats = sample_statistics(kinds, cfg, scen, hypothesis, trials, seed, workers)
+        for kind in kinds:
+            th = thresholds[kind]
+            eta = th.eta if isinstance(th, CalibratedThreshold) else th[i].eta
+            exceed = int(np.count_nonzero(stats[kind] > eta))
+            curves[kind].append(curve_point(abscissa, exceed, trials))
+    return curves
+
+
 def estimate_pfa(
     detector: DetectorKind,
     cfg: EstimationConfig | None,
@@ -254,9 +272,8 @@ def estimate_pfa(
     """Estimated false-alarm rate of a calibrated detector at one scenario."""
     if threshold.detector is not detector:
         raise ValueError("threshold was calibrated for a different detector")
-    stats = sample_statistics([detector], cfg, scen_mismatched, Hypothesis.H0, trials, seed, workers)
-    exceed = int(np.count_nonzero(stats[detector] > threshold.eta))
-    return curve_point(_h0_abscissa(scen_mismatched), exceed, trials)
+    curves = pfa_sweep([detector], cfg, {detector: threshold}, [scen_mismatched], trials, seed, workers)
+    return curves[detector][0]
 
 
 def pfa_sweep(
@@ -279,13 +296,8 @@ def pfa_sweep(
     for kind in kinds:
         if kind not in thresholds:
             raise ValueError(f"missing threshold for {kind.value}")
-    curves = {kind: [] for kind in kinds}
-    for scen in scens:
-        stats = sample_statistics(kinds, cfg, scen, Hypothesis.H0, trials, seed, workers)
-        for kind in kinds:
-            exceed = int(np.count_nonzero(stats[kind] > thresholds[kind].eta))
-            curves[kind].append(curve_point(_h0_abscissa(scen), exceed, trials))
-    return curves
+    points = [(_h0_abscissa(scen), scen) for scen in scens]
+    return _exceedance_curves(kinds, cfg, thresholds, points, Hypothesis.H0, trials, seed, workers)
 
 
 def pd_curve(
@@ -307,24 +319,19 @@ def pd_curve(
         raise ValueError("cd needs per-SNR thresholds; use pd_curves")
     if threshold.detector is not detector:
         raise ValueError("threshold was calibrated for a different detector")
-    snr_grid = _check_grid(snr_grid)
-    points = []
-    for snr in snr_grid:
-        stats = sample_statistics(
-            [detector], cfg, replace(scen, snr_db=snr), Hypothesis.H1, trials, seed, workers
-        )
-        exceed = int(np.count_nonzero(stats[detector] > threshold.eta))
-        points.append(curve_point(snr, exceed, trials))
-    return points
+    curves = _exceedance_curves(
+        [detector], cfg, {detector: threshold}, _snr_points(scen, snr_grid),
+        Hypothesis.H1, trials, seed, workers,
+    )
+    return curves[detector]
 
 
-def _check_grid(grid) -> list:
-    grid = [float(g) for g in grid]
-    if not grid:
+def _snr_points(scen: ScenarioConfig, snr_grid) -> list:
+    """(SNR, scenario) per grid value; ScenarioConfig rejects NaN and +inf."""
+    points = [(float(snr), replace(scen, snr_db=float(snr))) for snr in snr_grid]
+    if not points:
         raise ValueError("grid must be non-empty")
-    if any(np.isnan(g) or g == np.inf for g in grid):
-        raise ValueError("grid values must not be NaN or +inf")
-    return grid
+    return points
 
 
 def pd_curves(
@@ -353,7 +360,7 @@ def pd_curves(
     kinds = list(kinds)
     if len(set(kinds)) != len(kinds) or not kinds:
         raise ValueError("kinds must be non-empty and unique")
-    snr_grid = _check_grid(snr_grid)
+    points = _snr_points(scen, snr_grid)
     _check_calibration_size(cal_trials, nominal_pfa)
     if cal_seed is None:
         cal_seed = seed + 1
@@ -367,31 +374,15 @@ def pd_curves(
             calibrate_thresholds(fixed, cfg, cal_scenario, nominal_pfa, cal_trials, cal_seed, workers)
         )
     if DetectorKind.CD in kinds:
-        per_snr = []
-        for snr in snr_grid:
-            scen_s = replace(cal_scenario, snr_db=snr)
-            stats = sample_statistics(
-                [DetectorKind.CD], cfg, scen_s, Hypothesis.H0, cal_trials, cal_seed, workers
-            )
-            per_snr.append(
-                CalibratedThreshold(
-                    DetectorKind.CD,
-                    _rank_threshold(stats[DetectorKind.CD], nominal_pfa),
-                    nominal_pfa,
-                    cal_trials,
-                    cal_seed,
-                    scen_s,
-                )
-            )
-        thresholds[DetectorKind.CD] = tuple(per_snr)
+        thresholds[DetectorKind.CD] = tuple(
+            calibrate_thresholds(
+                [DetectorKind.CD], cfg, replace(cal_scenario, snr_db=snr),
+                nominal_pfa, cal_trials, cal_seed, workers,
+            )[DetectorKind.CD]
+            for snr, _ in points
+        )
 
-    curves = {kind: [] for kind in kinds}
-    for i, snr in enumerate(snr_grid):
-        stats = sample_statistics(kinds, cfg, replace(scen, snr_db=snr), Hypothesis.H1, trials, seed, workers)
-        for kind in kinds:
-            eta = thresholds[kind][i].eta if kind is DetectorKind.CD else thresholds[kind].eta
-            exceed = int(np.count_nonzero(stats[kind] > eta))
-            curves[kind].append(curve_point(snr, exceed, trials))
+    curves = _exceedance_curves(kinds, cfg, thresholds, points, Hypothesis.H1, trials, seed, workers)
     return curves, thresholds
 
 
@@ -422,19 +413,10 @@ def convergence_trace(
         count = min(BLOCK_SIZE, trials - start)
         x, _ = gen_block(scen, Hypothesis.H1, seed, start, count)
         if algorithm is AlgorithmTag.ALG1:
-            init = np.maximum(np.sum(x * x, axis=-1), cfg.c0)
-            _, _, trace, _ = cyclic_ml_batch(x, init, cfg.c0, cfg.n_co1, 0.0)
+            _, _, trace, _ = cyclic_ml_batch(x, ml_init(x, cfg), cfg.c0, cfg.n_co1, 0.0)
         else:
-            norms = np.sqrt(np.sum(x * x, axis=-1))
-            if np.any(norms == 0.0):
-                raise ValueError("cannot normalize a zero-norm sample")
-            z = x / norms[..., None]
-            if cfg.paper_init:
-                m0 = x.mean(axis=1)
-                s20 = np.maximum(0.5 * np.sum((x - m0[:, None, :]) ** 2, axis=-1), cfg.c0)
-            else:
-                m0 = z.mean(axis=1)
-                s20 = np.maximum(0.5 * np.sum((z - m0[:, None, :]) ** 2, axis=-1), cfg.c0)
+            z = directions(x)[0]
+            m0, s20 = em_init(x, z, cfg)
             if algorithm is AlgorithmTag.EM_M:
                 _, trace, _ = em_mean_batch(z, m0, s20, cfg.n_em_m, 0.0)
             elif algorithm is AlgorithmTag.EM_SIGMA:

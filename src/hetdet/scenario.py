@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Burst",
@@ -98,6 +99,14 @@ class InvariantBurst:
         return self.directions.shape[0]
 
 
+def directions(x: np.ndarray):
+    """Unit directions and norms of the (..., 2) sample pairs in x."""
+    norms = np.sqrt(np.sum(x * x, axis=-1))
+    if np.any(norms == 0.0):
+        raise ValueError("cannot normalize a zero-norm sample")
+    return x / norms[..., None], norms
+
+
 def to_invariant(burst: Burst) -> InvariantBurst:
     """Project a burst onto per-sample unit directions.
 
@@ -105,11 +114,8 @@ def to_invariant(burst: Burst) -> InvariantBurst:
     scalings; any statistic computed from them alone is unaffected by
     arbitrary power heterogeneity.
     """
-    x = burst.samples
-    norms = np.sqrt(np.sum(x * x, axis=-1))
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize a zero-norm sample")
-    return InvariantBurst(directions=x / norms[:, None], norms=norms)
+    z, norms = directions(burst.samples)
+    return InvariantBurst(directions=z, norms=norms)
 
 
 @dataclass(frozen=True)
@@ -339,10 +345,11 @@ def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", see
     return RecordedSeries(cells=cells, bin_labels=np.array(bins), offset=float(offset), offset_mode=offset_mode)
 
 
-def sliding_bursts(series: RecordedSeries, bin_label: int, k: int, stride: int) -> list[Burst]:
-    """Overlapping K-pulse bursts along one range bin.
+def sliding_bursts(series: RecordedSeries, bin_label: int, k: int, stride: int) -> np.ndarray:
+    """Overlapping K-pulse bursts along one range bin, stacked as (W, k, 2).
 
-    Produces floor((T - k)/stride) + 1 bursts for T recorded pulses.
+    Produces W = floor((T - k)/stride) + 1 bursts for T recorded pulses;
+    window i holds pulses i*stride .. i*stride + k - 1.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -351,11 +358,8 @@ def sliding_bursts(series: RecordedSeries, bin_label: int, k: int, stride: int) 
     row = series.row(bin_label)
     if k > row.size:
         raise ValueError(f"burst length {k} exceeds the {row.size} recorded pulses")
-    bursts = []
-    for start in range(0, row.size - k + 1, stride):
-        window = row[start : start + k]
-        bursts.append(Burst(np.stack([window.real, window.imag], axis=-1)))
-    return bursts
+    windows = sliding_window_view(row, k)[::stride]
+    return np.stack([windows.real, windows.imag], axis=-1)
 
 
 def pulse_powers(series: RecordedSeries, bin_label: int) -> np.ndarray:

@@ -146,6 +146,25 @@ class TestParseConfig:
             parse_config(["pd-curve", "--snr-grid", "1", "--pfa", "1.5",
                           "--out", str(tmp_path / "c.csv")])
 
+    @pytest.mark.parametrize(
+        "values",
+        [{"trials": 300.7}, {"k": 16.9}, {"seed": 1.5}, {"trials": True}, {"cal_seed": False},
+         {"target_phase": True}, {"sigma_n2": True}, {"snr_grid": [True, 2.0]}],
+    )
+    def test_file_numbers_are_not_reinterpreted(self, tmp_path, values):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"snr_grid": [1.0], **values}))
+        with pytest.raises(ConfigError, match=next(iter(values))):
+            parse_config(["pd-curve", "--config", str(path), "--out", str(tmp_path / "c.csv")])
+
+    def test_integral_float_accepted_for_integer_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trials": 300.0, "k": 8.0}))
+        cfg = parse_config(["pd-curve", "--config", str(path), "--snr-grid", "1",
+                            "--out", str(tmp_path / "c.csv")])
+        assert cfg.trials == 300 and isinstance(cfg.trials, int)
+        assert cfg.scenario.k == 8
+
 
 class TestMainExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -159,6 +178,17 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "p.csv")])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["cfar-sweep", "--delta-grid", "0,-1"], ["cfar-sweep", "--q-grid", "2,0"],
+         ["cfar-sweep", "--delta-grid", ","], ["pd-curve", "--snr-grid", "nan"]],
+    )
+    def test_bad_grid_is_2_before_calibration(self, tmp_path, capsys, args):
+        code = main(args + ["--detectors", "ed", "--out", str(tmp_path / "c.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "calibrat" not in err
 
     def test_malformed_recorded_file_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -203,6 +203,19 @@ class TestEmSteps:
         m_next = em_mean_step(inv, est.m_hat, est.sigma2_hat)
         assert np.linalg.norm(m_next - est.m_hat) < 1e-3 * np.linalg.norm(est.m_hat)
 
+    def test_steps_equal_one_batched_iteration(self):
+        cfg = ScenarioConfig(k=16, delta=10.0, snr_db=9.0)
+        x, _ = gen_block(cfg, Hypothesis.H1, seed=24, start=0, count=200)
+        invs = [to_invariant(Burst(xi)) for xi in x]
+        z = np.stack([inv.directions for inv in invs])
+        m0 = z.mean(axis=1)
+        s20 = np.maximum(0.5 * np.sum((z - m0[:, None, :]) ** 2, axis=2), 1.0)
+        m1, _, _ = em_mean_batch(z, m0, s20, 1, 0.0)
+        s21, _, _ = em_sigma_batch(z, m0, s20, 1.0, 1, 0.0)
+        for i, inv in enumerate(invs):
+            np.testing.assert_array_equal(em_mean_step(inv, m0[i], s20[i]), m1[i])
+            np.testing.assert_array_equal(em_sigma_step(inv, m0[i], s20[i], 1.0), s21[i])
+
     def test_validation(self):
         burst, _ = _burst()
         inv = to_invariant(burst)

@@ -26,7 +26,8 @@ from hetdet.montecarlo import (
     write_manifest,
     write_trace_csv,
 )
-from hetdet.scenario import Burst, Hypothesis, ScenarioConfig, gen_block
+from hetdet import montecarlo
+from hetdet.scenario import Hypothesis, ScenarioConfig, gen_block
 
 WHITE = ScenarioConfig(k=16, delta=0.0)
 EST = EstimationConfig()
@@ -146,6 +147,29 @@ class TestSampleStatistics:
         diff = x - m
         expected = -np.sum(np.sum(diff**2, axis=2) / s2, axis=1) + np.sum(np.sum(x**2, axis=2) / s2, axis=1)
         np.testing.assert_array_equal(stats[DetectorKind.CD], expected)
+
+    def test_pool_capped_at_block_count(self, monkeypatch):
+        pool_sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        trials = 2 * montecarlo.BLOCK_SIZE
+        stats = sample_statistics([DetectorKind.ED], None, WHITE, Hypothesis.H0, trials, seed=8, workers=8)
+        assert pool_sizes == [2]
+        single = sample_statistics([DetectorKind.ED], None, WHITE, Hypothesis.H0, trials, seed=8)
+        np.testing.assert_array_equal(stats[DetectorKind.ED], single[DetectorKind.ED])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -275,14 +299,15 @@ class TestConvergenceTrace:
 class TestBurstListStatistics:
     def test_matches_batch(self):
         x, _ = gen_block(WHITE, Hypothesis.H0, seed=34, start=0, count=3)
-        bursts = [Burst(x[i]) for i in range(3)]
-        stats = statistics_for_bursts(bursts, [DetectorKind.ED], None)
+        stats = statistics_for_bursts(x, [DetectorKind.ED], None)
         np.testing.assert_array_equal(stats[DetectorKind.ED], np.sum(x**2, axis=(1, 2)))
 
     def test_requires_equal_lengths(self):
-        with pytest.raises(ValueError, match="same length"):
-            statistics_for_bursts([Burst(np.ones((4, 2))), Burst(np.ones((5, 2)))], [DetectorKind.ED])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sequence"):
+            statistics_for_bursts([np.ones((4, 2)), np.ones((5, 2))], [DetectorKind.ED])
+        with pytest.raises(ValueError, match="at least one burst"):
+            statistics_for_bursts(np.empty((0, 4, 2)), [DetectorKind.ED])
+        with pytest.raises(ValueError, match="at least one burst"):
             statistics_for_bursts([], [DetectorKind.ED])
 
 

@@ -294,20 +294,20 @@ class TestSlidingBursts:
         path = tmp_path / "rec.csv"
         _write_series(path, [0], n_pulses)
         series = ingest_recorded(path)
-        bursts = sliding_bursts(series, 0, k=k, stride=stride)
-        assert len(bursts) == (n_pulses - k) // stride + 1
-        assert all(b.k == k for b in bursts)
+        windows = sliding_bursts(series, 0, k=k, stride=stride)
+        assert windows.shape == ((n_pulses - k) // stride + 1, k, 2)
+        assert windows.dtype == float and windows.flags.c_contiguous
 
     def test_window_contents(self, tmp_path):
         path = tmp_path / "rec.csv"
         _write_series(path, [2], 20, seed=5)
         series = ingest_recorded(path)
-        bursts = sliding_bursts(series, 2, k=8, stride=4)
+        windows = sliding_bursts(series, 2, k=8, stride=4)
         row = series.row(2)
-        for i, burst in enumerate(bursts):
-            window = row[4 * i : 4 * i + 8]
-            np.testing.assert_array_equal(burst.samples[:, 0], window.real)
-            np.testing.assert_array_equal(burst.samples[:, 1], window.imag)
+        assert len(windows) == 4
+        for i, window in enumerate(windows):
+            np.testing.assert_array_equal(window[:, 0], row[4 * i : 4 * i + 8].real)
+            np.testing.assert_array_equal(window[:, 1], row[4 * i : 4 * i + 8].imag)
 
     def test_parameter_validation(self, tmp_path):
         path = tmp_path / "rec.csv"
