@@ -31,7 +31,7 @@ from .montecarlo import (
     CalibratedThreshold,
     calibrate_thresholds,
     convergence_trace,
-    curve_point,
+    exceedance_curves,
     pd_curves,
     pfa_sweep,
     statistics_for_bursts,
@@ -301,6 +301,20 @@ def _parse_grid(res: _Resolver, scen: ScenarioConfig, grid_kind: str) -> tuple:
     return grid
 
 
+def _offset_fields(res: _Resolver) -> dict:
+    """The recorded-sample offset settings, checked before any file is read."""
+    offset = res.number("offset", 0.0, float)
+    mode = str(res.get("offset_mode", "literal"))
+    if not np.isfinite(offset):
+        raise ConfigError("offset must be finite")
+    if mode not in ("literal", "noise"):
+        raise ConfigError("offset_mode must be 'literal' or 'noise'")
+    if mode == "noise" and offset < 0:
+        raise ConfigError("noise offset must be >= 0")
+    seed = res.number("offset_seed", None, int)
+    return {"offset": offset, "offset_mode": mode, "offset_seed": seed}
+
+
 def _build_estimation(res: _Resolver, scen: ScenarioConfig) -> EstimationConfig:
     paper_init = res.get("paper_init", False)
     if not isinstance(paper_init, bool):
@@ -344,9 +358,7 @@ def parse_config(argv=None) -> RunConfig:
             workers=workers,
             bin_label=res.number("bin_label", None, int),
             recorded=str(recorded),
-            offset=res.number("offset", 0.0, float),
-            offset_mode=str(res.get("offset_mode", "literal")),
-            offset_seed=res.number("offset_seed", None, int),
+            **_offset_fields(res),
         )
 
     snr_db = res.number("snr_db", 0.0, float) if command != "pd-curve" else 0.0
@@ -389,9 +401,7 @@ def parse_config(argv=None) -> RunConfig:
                 recorded=str(recorded),
                 bins=_parse_list(res.get("bins"), "bins", int) or None,
                 stride=res.number("stride", scen.k, int, minimum=1),
-                offset=res.number("offset", 0.0, float),
-                offset_mode=str(res.get("offset_mode", "literal")),
-                offset_seed=res.number("offset_seed", None, int),
+                **_offset_fields(res),
             )
         if (delta_grid is None) == (q_grid is None):
             raise ConfigError("exactly one of --delta-grid and --q-grid is required")
@@ -484,26 +494,39 @@ def _run_calibrate(config: RunConfig) -> int:
 def _run_cfar_sweep(config: RunConfig) -> int:
     started = time.monotonic()
     white = replace(config.scenario, delta=0.0, texture_shape=None)
-    _progress(f"calibrating under white noise: {config.cal_trials} trials")
-    thresholds = calibrate_thresholds(
-        config.detectors, config.estimation, white,
-        config.pfa, config.cal_trials, config.cal_seed, config.workers,
-    )
+
+    def calibrate():
+        _progress(f"calibrating under white noise: {config.cal_trials} trials")
+        return calibrate_thresholds(
+            config.detectors, config.estimation, white,
+            config.pfa, config.cal_trials, config.cal_seed, config.workers,
+        )
+
     if config.recorded is not None:
+        # Read and check the file first: a bad input should not cost a calibration.
         series = ingest_recorded(
             config.recorded, config.offset, config.offset_mode, config.offset_seed
         )
         bins = config.bins if config.bins is not None else tuple(series.bin_labels.tolist())
-        curves = {kind: [] for kind in config.detectors}
+        missing = [b for b in bins if b not in series.bin_labels]
+        if missing:
+            raise ValueError(f"unknown range bin {missing[0]}")
+        if config.scenario.k > series.n_pulses:
+            raise ValueError(
+                f"burst length {config.scenario.k} exceeds the {series.n_pulses} recorded pulses"
+            )
+        thresholds = calibrate()
         window_counts = {}
-        for bin_label in bins:
-            windows = sliding_bursts(series, bin_label, config.scenario.k, config.stride)
-            window_counts[int(bin_label)] = len(windows)
-            _progress(f"bin {bin_label}: {len(windows)} sliding bursts")
-            stats = statistics_for_bursts(windows, config.detectors, config.estimation)
-            for kind in config.detectors:
-                exceed = int(np.count_nonzero(stats[kind] > thresholds[kind].eta))
-                curves[kind].append(curve_point(float(bin_label), exceed, len(windows)))
+
+        def bin_statistics():
+            for bin_label in bins:
+                windows = sliding_bursts(series, bin_label, config.scenario.k, config.stride)
+                window_counts[int(bin_label)] = len(windows)
+                _progress(f"bin {bin_label}: {len(windows)} sliding bursts")
+                stats = statistics_for_bursts(windows, config.detectors, config.estimation)
+                yield float(bin_label), stats
+
+        curves = exceedance_curves(config.detectors, thresholds, bin_statistics())
         extra = {
             "recorded": config.recorded,
             "bins": [int(b) for b in bins],
@@ -514,6 +537,7 @@ def _run_cfar_sweep(config: RunConfig) -> int:
             "windows_per_bin": window_counts,
         }
     else:
+        thresholds = calibrate()
         scens = [_grid_scenario(white, config.grid_kind, value) for value in config.grid]
         _progress(
             f"estimating pfa on {len(scens)} {config.grid_kind} points, "

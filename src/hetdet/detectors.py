@@ -121,7 +121,9 @@ def statistics_batch(
 
     x has shape (B, K, 2).  The cyclic-ML run, the EM run, and the
     no-target variance estimates are each computed once and shared by every
-    statistic that consumes them.  Returns {kind: (B,) array}.
+    statistic that consumes them.  Returns {kind: (B,) array}; raises
+    ValueError naming the detector and the first burst index if any
+    statistic is not finite.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != 2:
@@ -199,6 +201,11 @@ def statistics_batch(
                 raise ValueError("ca-chd is undefined on an all-zero burst")
             s = np.sum(x, axis=-2)
             out[kind] = np.sum(s * s, axis=-1) / energy
+    # A NaN would otherwise count as a non-exceedance of every threshold.
+    for kind, values in out.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{kind.value} statistic is not finite at burst {bad[0]}")
     return out
 
 

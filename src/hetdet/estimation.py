@@ -24,7 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import cond_mean_norm, cond_mean_sq_residual, log1p_mills
+from .numerics import _em_parts, log1p_mills
+
+# The EM engines run on the unchecked _em_parts kernel.  The checked public
+# moment kernels stay importable under these names, where perfbench/tracer.py
+# wraps them.
+from .numerics import cond_mean_norm, cond_mean_sq_residual  # noqa: F401
 from .scenario import Burst, InvariantBurst
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -115,7 +120,22 @@ def angular_loglik(z: np.ndarray, m: np.ndarray, sigma2: np.ndarray) -> np.ndarr
     p = np.einsum("...kj,...j->...k", z, m)
     msq = np.sum(m * m, axis=-1)[..., None]
     t = p / np.sqrt(sigma2)
-    return np.sum(-msq / (2.0 * sigma2) - _LOG_2PI + log1p_mills(t), axis=-1)
+    return _loglik_sum(msq, sigma2, log1p_mills(t))
+
+
+def _loglik_sum(msq: np.ndarray, sigma2: np.ndarray, log_term: np.ndarray) -> np.ndarray:
+    return np.sum(-msq / (2.0 * sigma2) - _LOG_2PI + log_term, axis=-1)
+
+
+def _em_point(p: np.ndarray, msq: np.ndarray, sigma2: np.ndarray):
+    """(log-likelihood, conditional mean magnitudes, conditional squared residuals).
+
+    All three at one point of the direction EM, from one _em_parts pass over
+    p = z.m (B, K), msq = ||m||^2 (B, 1) and sigma2 (B, K).  The
+    log-likelihood equals angular_loglik at that point bit for bit.
+    """
+    log_term, mean, resid = _em_parts(p, sigma2)
+    return _loglik_sum(msq, sigma2, log_term), mean, resid + msq
 
 
 def _h0_variances(x: np.ndarray, c0: float) -> np.ndarray:
@@ -192,15 +212,19 @@ def em_mean_batch(z: np.ndarray, m_init: np.ndarray, sigma2: np.ndarray, n_max: 
     Trace has n_max + 1 columns; column 0 is the log-likelihood at m_init.
     """
 
-    def step(m, za, s2, w, w_sum):
-        h = cond_mean_norm(np.einsum("bkj,bj->bk", za, m), s2)
+    def at(za, m, s2):
+        ll, h, _ = _em_point(np.einsum("bkj,bj->bk", za, m), np.sum(m * m, axis=-1)[:, None], s2)
+        return ll, h
+
+    def step(m, h, za, s2, w, w_sum):
         m_new = np.sum((h * w)[..., None] * za, axis=1) / w_sum[:, None]
-        return (m_new,), angular_loglik(za, m_new, s2)
+        ll_new, h_new = at(za, m_new, s2)
+        return (m_new, h_new), ll_new
 
     w = 1.0 / sigma2
-    (m,), trace, iters = _ascend(
-        step, (m_init,), (z, sigma2, w, np.sum(w, axis=1)),
-        angular_loglik(z, m_init, sigma2), n_max, eps,
+    ll0, h0 = at(z, m_init, sigma2)
+    (m, _), trace, iters = _ascend(
+        step, (m_init, h0), (z, sigma2, w, np.sum(w, axis=1)), ll0, n_max, eps
     )
     return m, trace, iters
 
@@ -212,14 +236,15 @@ def em_sigma_batch(z: np.ndarray, m: np.ndarray, sigma2_init: np.ndarray, c0: fl
     so the trace stays non-decreasing.  Trace column 0 is the starting value.
     """
 
-    def step(s2, za, ma, p, msq):
-        s2_new = np.maximum(0.5 * cond_mean_sq_residual(p, s2, msq), c0)
-        return (s2_new,), angular_loglik(za, ma, s2_new)
+    def step(s2, resid, p, msq):
+        s2_new = np.maximum(0.5 * resid, c0)
+        ll_new, _, resid_new = _em_point(p, msq, s2_new)
+        return (s2_new, resid_new), ll_new
 
-    consts = (z, m, np.einsum("bkj,bj->bk", z, m), np.sum(m * m, axis=-1)[:, None])
-    (s2,), trace, iters = _ascend(
-        step, (sigma2_init,), consts, angular_loglik(z, m, sigma2_init), n_max, eps
-    )
+    p = np.einsum("bkj,bj->bk", z, m)
+    msq = np.sum(m * m, axis=-1)[:, None]
+    ll0, _, resid0 = _em_point(p, msq, sigma2_init)
+    (s2, _), trace, iters = _ascend(step, (sigma2_init, resid0), (p, msq), ll0, n_max, eps)
     return s2, trace, iters
 
 
@@ -244,8 +269,9 @@ def cyclic_em_batch(
 
     def step(m, s2, za):
         m_new, _, _ = em_mean_batch(za, m, s2, n_em_m, eps1)
-        s2_new, _, _ = em_sigma_batch(za, m_new, s2, c0, n_em_sigma, eps2)
-        return (m_new, s2_new), angular_loglik(za, m_new, s2_new)
+        s2_new, trace, iters = em_sigma_batch(za, m_new, s2, c0, n_em_sigma, eps2)
+        # The sigma pass ends at (m_new, s2_new); its last entry is the outer log-likelihood.
+        return (m_new, s2_new), trace[np.arange(iters.size), iters]
 
     (m, s2), trace, iters = _ascend(
         step, (m_init, sigma2_init), (z,), angular_loglik(z, m_init, sigma2_init), n_co2, eps3

@@ -45,6 +45,7 @@ __all__ = [
     "convergence_trace",
     "curve_point",
     "estimate_pfa",
+    "exceedance_curves",
     "pd_curve",
     "pd_curves",
     "pfa_sweep",
@@ -242,22 +243,33 @@ def _h0_abscissa(scen: ScenarioConfig) -> float:
     return float(scen.delta if scen.delta is not None else scen.texture_shape)
 
 
-def _exceedance_curves(kinds, cfg, thresholds: dict, points, hypothesis, trials, seed, workers) -> dict:
-    """Exceedance-rate curves over (abscissa, scenario) points.
+def exceedance_curves(kinds, thresholds: dict, samples) -> dict:
+    """Exceedance-rate curves from (abscissa, {kind: statistics}) samples.
 
-    Every detector sees the same simulated bursts at each point.  A threshold
-    is one CalibratedThreshold, or a sequence holding one per point.
-    Returns {kind: [CurvePoint, ...]}.
+    `samples` may be a generator, so only one point's statistics need be
+    held at a time.  A threshold is one CalibratedThreshold, or a sequence
+    holding one per point.  Returns {kind: [CurvePoint, ...]}.
     """
     curves = {kind: [] for kind in kinds}
-    for i, (abscissa, scen) in enumerate(points):
-        stats = sample_statistics(kinds, cfg, scen, hypothesis, trials, seed, workers)
+    for i, (abscissa, stats) in enumerate(samples):
         for kind in kinds:
             th = thresholds[kind]
             eta = th.eta if isinstance(th, CalibratedThreshold) else th[i].eta
             exceed = int(np.count_nonzero(stats[kind] > eta))
-            curves[kind].append(curve_point(abscissa, exceed, trials))
+            curves[kind].append(curve_point(abscissa, exceed, stats[kind].size))
     return curves
+
+
+def _exceedance_curves(kinds, cfg, thresholds: dict, points, hypothesis, trials, seed, workers) -> dict:
+    """Exceedance-rate curves over (abscissa, scenario) points.
+
+    Every detector sees the same simulated bursts at each point.
+    """
+    samples = (
+        (abscissa, sample_statistics(kinds, cfg, scen, hypothesis, trials, seed, workers))
+        for abscissa, scen in points
+    )
+    return exceedance_curves(kinds, thresholds, samples)
 
 
 def estimate_pfa(

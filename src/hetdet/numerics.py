@@ -13,6 +13,10 @@ Three evaluation branches keep full accuracy over the whole real line:
   the conditional moments (the direct expressions lose all significant digits
   out there).  The moment kernels switch at t = -4, where the direct forms
   still carry ~8x error amplification; the ratio itself switches at t = -8.
+
+The public functions validate their input.  The direction EM loop instead
+calls `_em_parts`, which skips validation and takes the log term and both
+conditional moments from one evaluation of the ratio per element.
 """
 
 from __future__ import annotations
@@ -104,6 +108,45 @@ def _log1p_mills_raw(t: np.ndarray) -> np.ndarray:
         lm = np.log(tp) + log_ndtr(tp) + 0.5 * tp * tp + 0.5 * _LOG_2PI
         out[pos] = lm + np.log1p(np.exp(-lm))
     return out
+
+
+def _em_parts(p: np.ndarray, sigma2: np.ndarray):
+    """Log-likelihood term and both conditional moments from one Mills ratio.
+
+    Unchecked kernel of the direction EM loop: p and sigma2 are same-shape
+    float arrays with sigma2 > 0.  With t = p/sigma and R = Phi(t)/phi(t),
+    returns (log1p(t*R), sigma*(t + R/(1 + t*R)), sigma^2*(1 + 1/(1 + t*R))
+    - p^2): the log1p_mills term, cond_mean_norm, and cond_mean_sq_residual
+    less norm_m_sq.  R is evaluated once per element, on the branches of the
+    public kernels; the log term is bit-identical to log1p_mills(t).
+    """
+    sig = np.sqrt(sigma2)
+    t = p / sig
+    # Clipping keeps the erfcx pass finite; the tail branches overwrite it.
+    tc = np.clip(t, -_BRANCH, _BRANCH)
+    ratio = _SQRT_HALF_PI * erfcx(-tc / _SQRT_2)
+    tr = tc * ratio
+    log_term = np.log1p(tr)
+    a = 1.0 / (1.0 + tr)
+    mean = p + sig * (ratio * a)
+    resid = sigma2 * (1.0 + a) - p**2
+    pos = t >= _BRANCH
+    if np.any(pos):
+        tp = t[pos]
+        lm = np.log(tp) + log_ndtr(tp) + 0.5 * tp * tp + 0.5 * _LOG_2PI
+        log_term[pos] = lm + np.log1p(np.exp(-lm))
+        a_pos = np.exp(-log_term[pos])
+        mean[pos] = p[pos] + sig[pos] * ((1.0 - a_pos) / tp)
+        resid[pos] = sigma2[pos] * (1.0 + a_pos) - p[pos] ** 2
+    neg = t <= -_BRANCH_MOMENTS
+    if np.any(neg):
+        s = -t[neg]
+        tail1, tail2, _ = _cf_tails(s)
+        mean[neg] = sig[neg] * tail2
+        resid[neg] = sigma2[neg] * (2.0 + s * tail2)
+        deep = s >= _BRANCH
+        log_term[neg] = np.where(deep, np.log(tail1) - np.log(s + tail1), log_term[neg])
+    return log_term, mean, resid
 
 
 def mills_term(t):

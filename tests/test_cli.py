@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from hetdet import estimation
 from hetdet.cli import ConfigError, main, parse_config
 from hetdet.detectors import DetectorKind
 from hetdet.montecarlo import calibrate_thresholds
@@ -157,6 +158,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=next(iter(values))):
             parse_config(["pd-curve", "--config", str(path), "--out", str(tmp_path / "c.csv")])
 
+    @pytest.mark.parametrize(
+        "file_cfg, flags",
+        [({}, ["--offset", "inf"]), ({}, ["--offset", "-1", "--offset-mode", "noise"]),
+         ({"offset_mode": "bogus"}, [])],
+    )
+    @pytest.mark.parametrize("command", [["power-trace"], ["cfar-sweep", "--detectors", "ed"]])
+    def test_bad_offset_rejected(self, tmp_path, command, file_cfg, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        with pytest.raises(ConfigError, match="offset"):
+            parse_config([*command, "--config", str(path), "--recorded", FIXTURE, *flags,
+                          "--out", str(tmp_path / "p.csv")])
+
     def test_integral_float_accepted_for_integer_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"trials": 300.0, "k": 8.0}))
@@ -189,6 +203,35 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "calibrat" not in err
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["--recorded", "{tmp}/missing.csv"], 3),
+         (["--recorded", FIXTURE, "--offset", "nan"], 2),
+         (["--recorded", FIXTURE, "--k", "999"], 3),
+         (["--recorded", FIXTURE, "--bins", "0,7"], 3)],
+    )
+    def test_bad_recorded_input_fails_before_calibration(self, tmp_path, capsys, args, code):
+        args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+        assert main(["cfar-sweep", "--detectors", "ed", "--pfa", "0.1", "--cal-trials", "1000",
+                     *args, "--out", str(tmp_path / "c.csv")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "calibrat" not in err
+
+    def test_non_finite_statistic_is_3(self, tmp_path, capsys, monkeypatch):
+        fused = estimation._em_parts
+
+        def poisoned(p, sigma2):
+            log_term, mean, resid = fused(p, sigma2)
+            mean[0] = np.nan
+            return log_term, mean, resid
+
+        monkeypatch.setattr(estimation, "_em_parts", poisoned)
+        code = main(["pd-curve", "--detectors", "ed,c-gd-he", "--snr-grid", "6", "--pfa", "0.5",
+                     "--cal-trials", "200", "--trials", "10", "--workers", "1",
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == 3
+        assert "c-gd-he statistic is not finite at burst 0" in capsys.readouterr().err
 
     def test_malformed_recorded_file_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hetdet import estimation
 from hetdet.detectors import (
     Decision,
     DetectorKind,
@@ -226,3 +227,32 @@ class TestStatisticsBatch:
             statistics_batch(x, [DetectorKind.AGD], EstimationConfig())
         ok = statistics_batch(x, [DetectorKind.ED], EstimationConfig())
         assert np.isfinite(ok[DetectorKind.ED][0])
+
+
+def _poison_em_kernel(monkeypatch, row=3):
+    """Make the EM kernel return a NaN conditional mean in one row of every call."""
+    fused = estimation._em_parts
+
+    def poisoned(p, sigma2):
+        log_term, mean, resid = fused(p, sigma2)
+        if mean.shape[0] > row:
+            mean[row] = np.nan
+        return log_term, mean, resid
+
+    monkeypatch.setattr(estimation, "_em_parts", poisoned)
+
+
+class TestNonFiniteStatistics:
+    def test_nan_is_reported_with_detector_and_burst(self, monkeypatch):
+        x, _ = gen_block(ScenarioConfig(k=16, delta=10.0), Hypothesis.H0, seed=72, start=0, count=8)
+        cfg = EstimationConfig()
+        clean = statistics_batch(x, [DetectorKind.C_GD_HE], cfg)[DetectorKind.C_GD_HE]
+        assert np.all(np.isfinite(clean))
+        _poison_em_kernel(monkeypatch)
+        with pytest.raises(ValueError, match="c-gd-he statistic is not finite at burst 3"):
+            statistics_batch(x, [DetectorKind.ED, DetectorKind.C_GD_HE], cfg)
+        # The direction-domain statistic's kernel rejects the NaN estimate itself.
+        with pytest.raises(ValueError):
+            statistics_batch(x, [DetectorKind.AGD], cfg)
+        ok = statistics_batch(x, [DetectorKind.ED, DetectorKind.GD_HE], cfg)
+        assert all(np.all(np.isfinite(v)) for v in ok.values())

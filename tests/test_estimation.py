@@ -6,6 +6,7 @@ import pytest
 from hetdet.estimation import (
     EstimationConfig,
     ParamEstimate,
+    _ascend,
     angular_loglik,
     cyclic_em,
     cyclic_em_batch,
@@ -18,7 +19,7 @@ from hetdet.estimation import (
     gaussian_loglik,
     ml_sigma_h0,
 )
-from hetdet.numerics import angular_pdf_h1
+from hetdet.numerics import angular_pdf_h1, cond_mean_norm, cond_mean_sq_residual
 from hetdet.scenario import (
     Burst,
     Hypothesis,
@@ -342,3 +343,85 @@ class TestBatchedEngines:
         _, _, trace2, _ = cyclic_em_batch(z, m0, s20, 1.0, 15, 20, 20, 0.0, 0.0, 0.0)
         diffs2 = np.diff(trace2, axis=1)
         assert np.all(diffs2[~np.isnan(diffs2)] >= -1e-9)
+
+
+def _unfused_em_mean(z, m_init, sigma2, n_max, eps):
+    """Reference engine: checked public kernels, angular_loglik for every stop check."""
+
+    def step(m, za, s2, w, w_sum):
+        h = cond_mean_norm(np.einsum("bkj,bj->bk", za, m), s2)
+        m_new = np.sum((h * w)[..., None] * za, axis=1) / w_sum[:, None]
+        return (m_new,), angular_loglik(za, m_new, s2)
+
+    w = 1.0 / sigma2
+    (m,), trace, iters = _ascend(
+        step, (m_init,), (z, sigma2, w, np.sum(w, axis=1)),
+        angular_loglik(z, m_init, sigma2), n_max, eps,
+    )
+    return m, trace, iters
+
+
+def _unfused_em_sigma(z, m, sigma2_init, c0, n_max, eps):
+    def step(s2, za, ma, p, msq):
+        s2_new = np.maximum(0.5 * cond_mean_sq_residual(p, s2, msq), c0)
+        return (s2_new,), angular_loglik(za, ma, s2_new)
+
+    consts = (z, m, np.einsum("bkj,bj->bk", z, m), np.sum(m * m, axis=-1)[:, None])
+    (s2,), trace, iters = _ascend(
+        step, (sigma2_init,), consts, angular_loglik(z, m, sigma2_init), n_max, eps
+    )
+    return s2, trace, iters
+
+
+def _unfused_cyclic_em(z, m_init, sigma2_init, c0, n_co2, n_em_m, n_em_sigma, eps1, eps2, eps3):
+    def step(m, s2, za):
+        m_new, _, _ = _unfused_em_mean(za, m, s2, n_em_m, eps1)
+        s2_new, _, _ = _unfused_em_sigma(za, m_new, s2, c0, n_em_sigma, eps2)
+        return (m_new, s2_new), angular_loglik(za, m_new, s2_new)
+
+    (m, s2), trace, iters = _ascend(
+        step, (m_init, sigma2_init), (z,), angular_loglik(z, m_init, sigma2_init), n_co2, eps3
+    )
+    return m, s2, trace, iters
+
+
+def _assert_close_rows(got, ref, rtol=1e-12):
+    """Per-burst relative agreement; m rows are compared by vector norm."""
+    err = np.linalg.norm(np.atleast_2d(got - ref), axis=-1)
+    assert np.all(err <= rtol * np.linalg.norm(np.atleast_2d(ref), axis=-1))
+
+
+class TestFusedEngines:
+    """The fused-kernel engines against the unfused reference on 10^3 bursts."""
+
+    @pytest.mark.parametrize("delta", [0.0, 10.0, 50.0])
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_match_unfused_reference(self, delta, hypothesis):
+        cfg = EstimationConfig()
+        scen = ScenarioConfig(k=16, delta=delta, snr_db=9.0)
+        x, _ = gen_block(scen, hypothesis, seed=60, start=0, count=1000)
+        z = x / np.linalg.norm(x, axis=2, keepdims=True)
+        m0 = z.mean(axis=1)
+        s20 = np.maximum(0.5 * np.sum((z - m0[:, None, :]) ** 2, axis=2), cfg.c0)
+
+        runs = [
+            (em_mean_batch(z, m0, s20, cfg.n_em_m, cfg.eps1),
+             _unfused_em_mean(z, m0, s20, cfg.n_em_m, cfg.eps1)),
+            (em_sigma_batch(z, m0, s20, cfg.c0, cfg.n_em_sigma, cfg.eps2),
+             _unfused_em_sigma(z, m0, s20, cfg.c0, cfg.n_em_sigma, cfg.eps2)),
+        ]
+        args = (z, m0, s20, cfg.c0, cfg.n_co2, cfg.n_em_m, cfg.n_em_sigma,
+                cfg.eps1, cfg.eps2, cfg.eps3)
+        runs.append((cyclic_em_batch(*args), _unfused_cyclic_em(*args)))
+        for fused, ref in runs:
+            *states, trace, iters = fused
+            *ref_states, ref_trace, ref_iters = ref
+            np.testing.assert_array_equal(iters, ref_iters)
+            # Same starting point, same log term: column 0 agrees bit for bit.
+            np.testing.assert_array_equal(trace[:, 0], ref_trace[:, 0])
+            # A log-likelihood can cross zero, so each trace is scaled by its row's largest value.
+            np.testing.assert_array_equal(np.isnan(trace), np.isnan(ref_trace))
+            scale = np.nanmax(np.abs(ref_trace), axis=1, keepdims=True)
+            assert np.nanmax(np.abs(trace - ref_trace) / scale) <= 1e-12
+            for got, want in zip(states, ref_states):
+                _assert_close_rows(got, want)

@@ -280,6 +280,42 @@ class TestAngularPdfH1:
         assert np.all(np.isfinite(vals)) and np.all(vals >= 0) and vals[0] > 0
 
 
+def _em_grid():
+    """Dense t grid over [-60, 60] with both neighbours of every branch seam
+    and points across the 1/phi overflow edge near t = 38."""
+    seams = np.array([-8.0, -4.0, 8.0])
+    return np.unique(np.concatenate([
+        np.linspace(-60.0, 60.0, 24001),
+        seams, np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf),
+        np.linspace(37.0, 39.0, 401),
+    ]))
+
+
+class TestEmParts:
+    """The unchecked EM kernel against the checked public kernels."""
+
+    @pytest.mark.parametrize("sigma2", [1.0, 0.37, 2.5, 40.0])
+    def test_matches_public_kernels(self, sigma2):
+        t = _em_grid()
+        s2 = np.full_like(t, sigma2)
+        p = t * np.sqrt(sigma2)
+        msq = p * p + 0.5 * sigma2
+        log_term, mean, resid = nm._em_parts(p, s2)
+        np.testing.assert_array_equal(log_term, nm.log1p_mills(p / np.sqrt(s2)))
+        np.testing.assert_allclose(mean, nm.cond_mean_norm(p, s2), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            resid + msq, nm.cond_mean_sq_residual(p, s2, msq), rtol=1e-12, atol=0
+        )
+
+    def test_seams_continuous_and_finite(self):
+        for seam in (-8.0, -4.0, 8.0):
+            t = np.array([np.nextafter(seam, -np.inf), seam, np.nextafter(seam, np.inf)])
+            parts = nm._em_parts(t, np.ones(3))
+            for part in parts:
+                assert np.all(np.isfinite(part))
+                np.testing.assert_allclose(part, part[1], rtol=1e-12)
+
+
 class TestValidation:
     def test_sigma2_must_be_positive(self):
         for call in (
