@@ -97,6 +97,26 @@ def decide(statistic: float, threshold: float) -> Decision:
     return Decision(float(statistic), float(threshold), bool(statistic > threshold))
 
 
+class NonFiniteStatistic(ValueError):
+    """A detector's statistic is not finite at one burst of a batch."""
+
+    def __init__(self, detector: DetectorKind, burst: int):
+        super().__init__(detector, burst)
+        self.detector = detector
+        self.burst = burst
+
+    def __str__(self) -> str:
+        return f"{self.detector.value} statistic is not finite at burst {self.burst}"
+
+
+def _angular(kind: DetectorKind, z: np.ndarray, m: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    # log1p_mills would reject a non-finite estimate without naming the detector or burst.
+    bad = np.flatnonzero(~(np.all(np.isfinite(m), axis=-1) & np.all(np.isfinite(sigma2), axis=-1)))
+    if bad.size:
+        raise NonFiniteStatistic(kind, int(bad[0]))
+    return angular_statistic(z, m, sigma2)
+
+
 def angular_statistic(directions: np.ndarray, m: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     """Direction-domain log statistic at given parameters; batched over leading axes.
 
@@ -122,8 +142,9 @@ def statistics_batch(
     x has shape (B, K, 2).  The cyclic-ML run, the EM run, and the
     no-target variance estimates are each computed once and shared by every
     statistic that consumes them.  Returns {kind: (B,) array}; raises
-    ValueError naming the detector and the first burst index if any
-    statistic is not finite.
+    NonFiniteStatistic, a ValueError, naming the detector and the first
+    burst index if any statistic, or the estimate it is evaluated at, is
+    not finite.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != 2:
@@ -179,11 +200,11 @@ def statistics_batch(
         if kind is DetectorKind.GD_HE:
             out[kind] = gaussian_loglik(x, m1, s21) - ll0
         elif kind is DetectorKind.AGD:
-            out[kind] = angular_statistic(z, m2, s22)
+            out[kind] = _angular(kind, z, m2, s22)
         elif kind is DetectorKind.C_GD_HE:
             out[kind] = gaussian_loglik(x, m2, s22) - ll0
         elif kind is DetectorKind.C_AGD:
-            out[kind] = angular_statistic(z, m1, s21)
+            out[kind] = _angular(kind, z, m1, s21)
         elif kind is DetectorKind.CD:
             diff = x - true_mean
             out[kind] = (
@@ -205,7 +226,7 @@ def statistics_batch(
     for kind, values in out.items():
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            raise ValueError(f"{kind.value} statistic is not finite at burst {bad[0]}")
+            raise NonFiniteStatistic(kind, int(bad[0]))
     return out
 
 

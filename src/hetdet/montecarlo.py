@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detectors import DetectorKind, statistics_batch
+from .detectors import DetectorKind, NonFiniteStatistic, statistics_batch
 from .estimation import (
     EstimationConfig,
     cyclic_em_batch,
@@ -141,7 +141,11 @@ def curve_point(abscissa: float, successes: int, trials: int) -> CurvePoint:
 def _sample_block(args):
     kinds, cfg, scen, hypothesis, seed, start, count = args
     x, sigma2 = gen_block(scen, hypothesis, seed, start, count)
-    return statistics_batch(x, kinds, cfg, true_mean=scen.target_mean, true_sigma2=sigma2)
+    try:
+        return statistics_batch(x, kinds, cfg, true_mean=scen.target_mean, true_sigma2=sigma2)
+    except NonFiniteStatistic as exc:
+        # The burst index is relative to the block; name the trial too.
+        raise ValueError(f"{exc} (trial {start + exc.burst})") from None
 
 
 def sample_statistics(

@@ -11,8 +11,11 @@ Three evaluation branches keep full accuracy over the whole real line:
 - deep negative t: backward recurrence on the Gauss continued fraction for the
   Mills ratio, whose tails give cancellation-free forms for 1 + t*Phi/phi and
   the conditional moments (the direct expressions lose all significant digits
-  out there).  The moment kernels switch at t = -4, where the direct forms
-  still carry ~8x error amplification; the ratio itself switches at t = -8.
+  out there).  The moment kernels switch at t = -4 and the ratio itself at
+  t = -8.  Just above -4 the direct moment forms still cancel twice, in
+  sigma*phi + p*Phi and in p plus the quotient: against a 50-digit mpmath
+  oracle, `cond_mean_norm`'s worst relative error on (-4, -3.5] is 6.4e-13,
+  about 5000 ulp of the result (20,000 points, four variances).
 
 The public functions validate their input.  The direction EM loop instead
 calls `_em_parts`, which skips validation and takes the log term and both

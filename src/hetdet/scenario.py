@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,14 +198,110 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial,))))
 
 
-def _draw(cfg: ScenarioConfig, hypothesis: Hypothesis, rng: np.random.Generator):
-    """One burst's raw draws: per-sample variances, then the (K, 2) normals."""
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx, NEP 19) and
+# the PCG64 multiplier.  `gen_block` rebuilds each trial's `trial_rng` stream
+# from them, bit for bit, without constructing a SeedSequence per trial.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, at least one."""
+    return [(n >> (32 * j)) & _MASK32 for j in range(max(1, -(-n.bit_length() // 32)))]
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays.
+
+    Every call advances one multiplier, the same for every row, so rows
+    hashed in the same order share their constants.
+    """
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix_pool(entropy: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence.mix_entropy over the rows of a (B, L >= 4) uint32 array."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    return pool
+
+
+def _stream_states(seed: int, trials) -> np.ndarray:
+    """(B, 4) uint64: `SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64)` per trial.
+
+    Trials whose index needs a different number of 32-bit words (for example
+    on either side of 2**32) hash as separate groups.
+    """
+    seed_words = _words(seed)
+    # With a spawn key present, the run entropy is zero-padded to the pool size.
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    index = np.array(list(trials), dtype=object)
+    if np.any(index < 0):
+        raise ValueError("trial indices must be non-negative")
+    width = len(_words(int(index.max()))) if index.size else 1
+    words = np.empty((index.size, width), dtype=np.uint32)
+    for j in range(width):
+        words[:, j] = (index >> (32 * j)) & _MASK32
+    # A trial's key has as many words as it needs, and at least one.
+    n_words = np.max(np.where(words != 0, np.arange(1, width + 1), 1), axis=1)
+    out = np.empty((index.size, 4), dtype=np.uint64)
+    for n in np.unique(n_words):
+        rows = np.flatnonzero(n_words == n)
+        entropy = np.empty((rows.size, len(seed_words) + n), dtype=np.uint32)
+        entropy[:, : len(seed_words)] = seed_words
+        entropy[:, len(seed_words):] = words[rows, :n]
+        pool = _mix_pool(entropy)
+        # generate_state(4, np.uint64): eight hashed words cycling over the
+        # pool, paired little-endian into 64-bit words.
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        words32 = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+        for j in range(4):
+            out[rows, j] = words32[2 * j] | (words32[2 * j + 1] << np.uint64(32))
+    return out
+
+
+def _fill_draws(cfg: ScenarioConfig, rng: np.random.Generator, u: np.ndarray, g: np.ndarray):
+    """One burst's raw draws in stream order: variance variates into u (K,), normals into g (K, 2)."""
     if cfg.delta is not None:
-        sigma2 = cfg.delta * rng.random(cfg.k) + cfg.sigma_n2
+        rng.random(out=u)
     else:
-        sigma2 = cfg.sigma_n2 * rng.gamma(shape=cfg.texture_shape, scale=1.0 / cfg.texture_shape, size=cfg.k)
-    g = rng.standard_normal((cfg.k, 2))
-    x = np.sqrt(sigma2)[:, None] * g
+        u[:] = rng.gamma(shape=cfg.texture_shape, scale=1.0 / cfg.texture_shape, size=cfg.k)
+    rng.standard_normal(out=g)
+
+
+def _bursts(cfg: ScenarioConfig, hypothesis: Hypothesis, u: np.ndarray, g: np.ndarray):
+    """Samples (B, K, 2) and per-sample variances (B, K) from raw draws u (B, K), g (B, K, 2)."""
+    if cfg.delta is not None:
+        sigma2 = cfg.delta * u + cfg.sigma_n2
+    else:
+        sigma2 = cfg.sigma_n2 * u
+    x = np.sqrt(sigma2)[..., None] * g
     if hypothesis is Hypothesis.H1:
         x = x + cfg.target_mean
     return x, sigma2
@@ -217,10 +314,13 @@ def _generate(cfg, hypothesis, rng, model):
         raise ValueError("scenario does not carry a texture_shape parameter")
     if not isinstance(hypothesis, Hypothesis):
         raise ValueError("hypothesis must be a Hypothesis value")
-    x, sigma2 = _draw(cfg, hypothesis, rng)
+    u = np.empty((1, cfg.k))
+    g = np.empty((1, cfg.k, 2))
+    _fill_draws(cfg, rng, u[0], g[0])
+    x, sigma2 = _bursts(cfg, hypothesis, u, g)
     target = cfg.target_mean
     mean = target if hypothesis is Hypothesis.H1 else np.zeros(2)
-    return Burst(x), GroundTruth(mean=mean, target_mean=target, sigma2=sigma2)
+    return Burst(x[0]), GroundTruth(mean=mean, target_mean=target, sigma2=sigma2[0])
 
 
 def gen_uniform_het(cfg: ScenarioConfig, hypothesis: Hypothesis, rng: np.random.Generator):
@@ -236,15 +336,31 @@ def gen_compound_gaussian(cfg: ScenarioConfig, hypothesis: Hypothesis, rng: np.r
 def gen_block(cfg: ScenarioConfig, hypothesis: Hypothesis, seed: int, start: int, count: int):
     """Raw arrays for trials start..start+count-1: samples (B, K, 2), variances (B, K).
 
-    Each trial uses its own keyed stream (see trial_rng), making the block
-    contents independent of how trials are grouped into blocks.
+    Each trial draws from exactly its `trial_rng(seed, trial)` stream, making
+    the block contents independent of how trials are grouped into blocks.  The
+    streams' PCG64 states come from one vectorized SeedSequence hash per block
+    and are loaded in turn into a single generator.
     """
-    x = np.empty((count, cfg.k, 2))
-    sigma2 = np.empty((count, cfg.k))
-    for i in range(count):
-        rng = trial_rng(seed, start + i)
-        x[i], sigma2[i] = _draw(cfg, hypothesis, rng)
-    return x, sigma2
+    # Rejects what trial_rng would reject; a seed of None draws fresh entropy.
+    seed = operator.index(np.random.SeedSequence(seed).entropy)
+    if operator.index(start) < 0:
+        raise ValueError("start must be non-negative")
+    u = np.empty((count, cfg.k))
+    g = np.empty((count, cfg.k, 2))
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for i, (w0, w1, w2, w3) in enumerate(_stream_states(seed, range(start, start + count)).tolist()):
+        # pcg64_set_seed: inc = 2i + 1, state = (inc + s) * M + inc, mod 2**128.
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = (((w0 << 64 | w1) + inc) * _PCG64_MULT + inc) & _MASK128
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        _fill_draws(cfg, rng, u[i], g[i])
+    return _bursts(cfg, hypothesis, u, g)
 
 
 @dataclass(frozen=True)

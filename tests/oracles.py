@@ -53,6 +53,15 @@ def mills_exact(t):
     return t * mp.ncdf(t) / _phi(t)
 
 
+def cond_mean_norm_exact(p, sigma2):
+    """p + sigma2*Phi(t)/(sigma*phi(t) + p*Phi(t)) at t = p/sigma, in mpmath."""
+    p = mp.mpf(p)
+    s2 = mp.mpf(sigma2)
+    sig = mp.sqrt(s2)
+    cdf = mp.ncdf(p / sig)
+    return p + s2 * cdf / (sig * _phi(p / sig) + p * cdf)
+
+
 def log1p_mills_exact(t):
     return mp.log(1 + mills_exact(t))
 

@@ -7,6 +7,7 @@ from hetdet import estimation
 from hetdet.detectors import (
     Decision,
     DetectorKind,
+    NonFiniteStatistic,
     agd,
     angular_statistic,
     c_agd,
@@ -256,3 +257,11 @@ class TestNonFiniteStatistics:
             statistics_batch(x, [DetectorKind.AGD], cfg)
         ok = statistics_batch(x, [DetectorKind.ED, DetectorKind.GD_HE], cfg)
         assert all(np.all(np.isfinite(v)) for v in ok.values())
+
+    def test_nan_estimate_is_reported_with_angular_detector(self, monkeypatch):
+        x, _ = gen_block(ScenarioConfig(k=16, delta=10.0), Hypothesis.H0, seed=72, start=0, count=8)
+        _poison_em_kernel(monkeypatch)
+        with pytest.raises(NonFiniteStatistic, match=r"^agd statistic is not finite at burst \d+$") as err:
+            statistics_batch(x, [DetectorKind.ED, DetectorKind.AGD], EstimationConfig())
+        assert err.value.detector is DetectorKind.AGD
+        assert 0 <= err.value.burst < 8

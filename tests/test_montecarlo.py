@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from hetdet.detectors import DetectorKind
+from hetdet import estimation
+from hetdet.detectors import DetectorKind, NonFiniteStatistic, statistics_batch
 from hetdet.estimation import EstimationConfig
 from hetdet.montecarlo import (
     AlgorithmTag,
@@ -129,6 +130,34 @@ class TestCalibration:
 
 
 class TestSampleStatistics:
+    @pytest.mark.parametrize("kind", [DetectorKind.AGD, DetectorKind.C_GD_HE])
+    def test_non_finite_error_names_the_trial(self, monkeypatch, kind):
+        scen = ScenarioConfig(k=16, delta=10.0)
+        cfg = EstimationConfig(n_co2=2)
+        fused = estimation._em_parts
+        generate = montecarlo.gen_block
+        block = {}
+
+        def gen(scen, hypothesis, seed, start, count):
+            block["start"] = start
+            return generate(scen, hypothesis, seed, start, count)
+
+        def poisoned(p, sigma2):
+            log_term, mean, resid = fused(p, sigma2)
+            if block["start"] == 512 and mean.shape[0] > 3:
+                mean[3] = np.nan
+            return log_term, mean, resid
+
+        monkeypatch.setattr(montecarlo, "gen_block", gen)
+        monkeypatch.setattr(estimation, "_em_parts", poisoned)
+        # Where the NaN lands within the second block, from the batch alone.
+        x, _ = gen(scen, Hypothesis.H0, 9, 512, 8)
+        with pytest.raises(NonFiniteStatistic) as err:
+            statistics_batch(x, [kind], cfg)
+        i = err.value.burst
+        with pytest.raises(ValueError, match=rf"not finite at burst {i} \(trial {512 + i}\)$"):
+            sample_statistics([kind], cfg, scen, Hypothesis.H0, 520, seed=9)
+
     def test_worker_count_invariance(self):
         stats1 = sample_statistics([DetectorKind.ED], None, WHITE, Hypothesis.H0, 1100, seed=5, workers=1)
         stats2 = sample_statistics([DetectorKind.ED], None, WHITE, Hypothesis.H0, 1100, seed=5, workers=2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -10,6 +11,7 @@ from hetdet import numerics as nm
 
 from oracles import (
     angular_density_exact,
+    cond_mean_norm_exact,
     log1p_mills_exact,
     magnitude_moments,
     mills_exact,
@@ -149,6 +151,17 @@ class TestCondMeanNorm:
     def test_opposing_direction_decay(self):
         p = np.array([-50.0, -200.0])
         np.testing.assert_allclose(nm.cond_mean_norm(p, 1.0), -2.0 / p, rtol=1e-2)
+
+    def test_direct_form_accuracy_above_moment_branch(self):
+        """Just above t = -4 the direct form cancels; pin its error against 50 digits."""
+        t = np.linspace(-4.0, -3.5, 2001)[1:]
+        with mp.workdps(50):
+            for s2 in (1.0, 2.5):
+                p = t * np.sqrt(s2)
+                got = nm.cond_mean_norm(p, s2)
+                for pi, gi in zip(p, got):
+                    ref = cond_mean_norm_exact(pi, s2)
+                    assert abs((mp.mpf(gi) - ref) / ref) < 1e-12, (pi, s2)
 
 
 class TestCondMeanSqResidual:

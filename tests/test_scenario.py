@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetdet.scenario import (
     Burst,
@@ -16,6 +18,7 @@ from hetdet.scenario import (
     ingest_recorded,
     pulse_powers,
     sliding_bursts,
+    _stream_states,
     to_invariant,
     trial_rng,
 )
@@ -131,6 +134,73 @@ class TestTrialStreams:
         first, _ = gen_block(cfg, Hypothesis.H0, seed=2, start=0, count=4)
         rest, _ = gen_block(cfg, Hypothesis.H0, seed=2, start=4, count=6)
         np.testing.assert_array_equal(whole, np.concatenate([first, rest]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3])
+    def test_stream_states_match_seed_sequence(self, seed):
+        trials = [0, 511, 2**32 - 1, 2**32, 2**40]
+        expected = [
+            np.random.SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64) for t in trials
+        ]
+        got = _stream_states(seed, trials)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    @pytest.mark.parametrize("model", ["uniform", "compound"])
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    @pytest.mark.parametrize("k", [2, 16])
+    @pytest.mark.parametrize(
+        "seed, start, count", [(21, 0, 6), (3, 1024, 1), (2**40, 2**32 - 3, 6)]
+    )
+    def test_block_is_bit_identical_to_trial_streams(self, model, hypothesis, k, seed, start, count):
+        if model == "uniform":
+            cfg = ScenarioConfig(k=k, delta=10.0, sigma_n2=1.5, snr_db=8.0, target_phase=0.3)
+        else:
+            cfg = ScenarioConfig(k=k, texture_shape=0.7, sigma_n2=2.0, snr_db=3.0)
+        _assert_block_matches_trial_streams(cfg, hypothesis, seed, start, count)
+
+    def test_negative_seed_or_start_rejected(self):
+        cfg = ScenarioConfig(k=4, delta=1.0)
+        with pytest.raises(ValueError):
+            gen_block(cfg, Hypothesis.H0, seed=-1, start=0, count=2)
+        with pytest.raises(ValueError):
+            gen_block(cfg, Hypothesis.H0, seed=0, start=-1, count=2)
+        with pytest.raises(ValueError):
+            gen_block(cfg, Hypothesis.H0, seed=0, start=-1, count=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**96 - 1),
+        start=st.integers(0, 2**40 - 1),
+        count=st.integers(1, 64),
+        compound=st.booleans(),
+    )
+    def test_block_equals_trial_streams_property(self, seed, start, count, compound):
+        cfg = ScenarioConfig(k=4, texture_shape=1.3) if compound else ScenarioConfig(k=4, delta=5.0)
+        _assert_block_matches_trial_streams(cfg, Hypothesis.H1, seed, start, count)
+
+
+def _reference_burst(cfg, hypothesis, rng):
+    """One burst drawn and mapped per trial, as generation did before block seeding."""
+    if cfg.delta is not None:
+        sigma2 = cfg.delta * rng.random(cfg.k) + cfg.sigma_n2
+    else:
+        sigma2 = cfg.sigma_n2 * rng.gamma(shape=cfg.texture_shape, scale=1.0 / cfg.texture_shape, size=cfg.k)
+    x = np.sqrt(sigma2)[:, None] * rng.standard_normal((cfg.k, 2))
+    if hypothesis is Hypothesis.H1:
+        x = x + cfg.target_mean
+    return x, sigma2
+
+
+def _assert_block_matches_trial_streams(cfg, hypothesis, seed, start, count):
+    """gen_block against one trial_rng stream per trial, bit for bit."""
+    x, s2 = gen_block(cfg, hypothesis, seed, start, count)
+    assert x.shape == (count, cfg.k, 2) and s2.shape == (count, cfg.k)
+    assert x.dtype == s2.dtype == np.float64
+    assert x.flags.c_contiguous and s2.flags.c_contiguous
+    for i in range(count):
+        ref_x, ref_s2 = _reference_burst(cfg, hypothesis, trial_rng(seed, start + i))
+        assert x[i].tobytes() == ref_x.tobytes()
+        assert s2[i].tobytes() == ref_s2.tobytes()
 
 
 class TestUniformHeterogeneity:
