@@ -31,7 +31,7 @@ from .estimation import (
     gaussian_loglik,
     ml_init,
 )
-from .numerics import log1p_mills
+from .numerics import _pulse_sum, _sq_norm, log1p_mills
 from .scenario import Burst, directions
 
 __all__ = [
@@ -125,7 +125,7 @@ def angular_statistic(directions: np.ndarray, m: np.ndarray, sigma2: np.ndarray)
     """
     m = np.asarray(m, dtype=float)
     p = np.einsum("...kj,...j->...k", directions, m)
-    msq = np.sum(m * m, axis=-1)
+    msq = _sq_norm(m)
     t = p / np.sqrt(sigma2)
     return -msq * np.sum(1.0 / (2.0 * sigma2), axis=-1) + np.sum(log1p_mills(t), axis=-1)
 
@@ -206,22 +206,19 @@ def statistics_batch(
         elif kind is DetectorKind.C_AGD:
             out[kind] = _angular(kind, z, m1, s21)
         elif kind is DetectorKind.CD:
-            diff = x - true_mean
             out[kind] = (
-                -np.sum(np.sum(diff * diff, axis=-1) / true_sigma2, axis=-1)
-                + np.sum(np.sum(x * x, axis=-1) / true_sigma2, axis=-1)
+                -np.sum(_sq_norm(x - true_mean) / true_sigma2, axis=-1)
+                + np.sum(_sq_norm(x) / true_sigma2, axis=-1)
             )
         elif kind is DetectorKind.ED:
             out[kind] = np.sum(x * x, axis=(-2, -1))
         elif kind is DetectorKind.CHD:
-            s = np.sum(x, axis=-2)
-            out[kind] = np.sum(s * s, axis=-1)
+            out[kind] = _sq_norm(_pulse_sum(x))
         else:
             energy = np.sum(x * x, axis=(-2, -1))
             if np.any(energy == 0.0):
                 raise ValueError("ca-chd is undefined on an all-zero burst")
-            s = np.sum(x, axis=-2)
-            out[kind] = np.sum(s * s, axis=-1) / energy
+            out[kind] = _sq_norm(_pulse_sum(x)) / energy
     # A NaN would otherwise count as a non-exceedance of every threshold.
     for kind, values in out.items():
         bad = np.flatnonzero(~np.isfinite(values))

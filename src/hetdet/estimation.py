@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _em_parts, log1p_mills
+from .numerics import _em_parts, _pulse_sum, _sq_norm, log1p_mills
 
 # The EM engines run on the unchecked _em_parts kernel.  The checked public
 # moment kernels stay importable under these names, where perfbench/tracer.py
@@ -109,8 +109,11 @@ class ParamEstimate:
 
 def gaussian_loglik(x: np.ndarray, m: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     """Raw-sample log-likelihood, summed over pulses; batched over leading axes."""
-    diff = x - np.asarray(m)[..., None, :]
-    q = np.sum(diff * diff, axis=-1)
+    return _gaussian_sum(_sq_norm(x - np.asarray(m)[..., None, :]), sigma2)
+
+
+def _gaussian_sum(q: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """gaussian_loglik from the squared residual norms q = ||x - m||^2."""
     return -np.sum(np.log(2.0 * np.pi * sigma2) + q / (2.0 * sigma2), axis=-1)
 
 
@@ -118,7 +121,7 @@ def angular_loglik(z: np.ndarray, m: np.ndarray, sigma2: np.ndarray) -> np.ndarr
     """Direction-domain log-likelihood, summed over pulses; batched over leading axes."""
     m = np.asarray(m)
     p = np.einsum("...kj,...j->...k", z, m)
-    msq = np.sum(m * m, axis=-1)[..., None]
+    msq = _sq_norm(m)[..., None]
     t = p / np.sqrt(sigma2)
     return _loglik_sum(msq, sigma2, log1p_mills(t))
 
@@ -139,19 +142,19 @@ def _em_point(p: np.ndarray, msq: np.ndarray, sigma2: np.ndarray):
 
 
 def _h0_variances(x: np.ndarray, c0: float) -> np.ndarray:
-    return np.maximum(0.5 * np.sum(x * x, axis=-1), c0)
+    return np.maximum(0.5 * _sq_norm(x), c0)
 
 
 def ml_init(x: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
     """Starting variances of the cyclic ML ascent: floored per-sample energies."""
-    return np.maximum(np.sum(x * x, axis=-1), cfg.c0)
+    return np.maximum(_sq_norm(x), cfg.c0)
 
 
 def em_init(x: np.ndarray, z: np.ndarray, cfg: EstimationConfig):
     """Starting (mean, variances) of the direction EM: floored moments of z, or of x under paper_init."""
     u = x if cfg.paper_init else z
-    m0 = u.mean(axis=1)
-    return m0, np.maximum(0.5 * np.sum((u - m0[:, None, :]) ** 2, axis=-1), cfg.c0)
+    m0 = _pulse_sum(u) / u.shape[1]
+    return m0, np.maximum(0.5 * _sq_norm(u - m0[:, None, :]), cfg.c0)
 
 
 def _ascend(step, state, consts, ll0, n_max: int, eps: float):
@@ -194,10 +197,10 @@ def cyclic_ml_batch(x: np.ndarray, sigma2_init: np.ndarray, c0: float, n_max: in
 
     def step(m, s2, xa):
         w = 1.0 / s2
-        m_new = np.sum(xa * w[..., None], axis=1) / np.sum(w, axis=1)[:, None]
-        resid = xa - m_new[:, None, :]
-        s2_new = np.maximum(0.5 * np.sum(resid * resid, axis=-1), c0)
-        return (m_new, s2_new), gaussian_loglik(xa, m_new, s2_new)
+        m_new = _pulse_sum(xa * w[..., None]) / np.sum(w, axis=1)[:, None]
+        q = _sq_norm(xa - m_new[:, None, :])
+        s2_new = np.maximum(0.5 * q, c0)
+        return (m_new, s2_new), _gaussian_sum(q, s2_new)
 
     b = x.shape[0]
     (m, s2), trace, iters = _ascend(
@@ -213,11 +216,11 @@ def em_mean_batch(z: np.ndarray, m_init: np.ndarray, sigma2: np.ndarray, n_max: 
     """
 
     def at(za, m, s2):
-        ll, h, _ = _em_point(np.einsum("bkj,bj->bk", za, m), np.sum(m * m, axis=-1)[:, None], s2)
+        ll, h, _ = _em_point(np.einsum("bkj,bj->bk", za, m), _sq_norm(m)[:, None], s2)
         return ll, h
 
     def step(m, h, za, s2, w, w_sum):
-        m_new = np.sum((h * w)[..., None] * za, axis=1) / w_sum[:, None]
+        m_new = _pulse_sum((h * w)[..., None] * za) / w_sum[:, None]
         ll_new, h_new = at(za, m_new, s2)
         return (m_new, h_new), ll_new
 
@@ -242,7 +245,7 @@ def em_sigma_batch(z: np.ndarray, m: np.ndarray, sigma2_init: np.ndarray, c0: fl
         return (s2_new, resid_new), ll_new
 
     p = np.einsum("bkj,bj->bk", z, m)
-    msq = np.sum(m * m, axis=-1)[:, None]
+    msq = _sq_norm(m)[:, None]
     ll0, _, resid0 = _em_point(p, msq, sigma2_init)
     (s2, _), trace, iters = _ascend(step, (sigma2_init, resid0), (p, msq), ll0, n_max, eps)
     return s2, trace, iters

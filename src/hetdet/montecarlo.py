@@ -16,6 +16,7 @@ import dataclasses
 import enum
 import json
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,7 +161,9 @@ def sample_statistics(
     """Simulate `trials` bursts and return {kind: (trials,) statistic array}.
 
     The clairvoyant statistic is evaluated at the scenario's target signature
-    and each trial's realized variances, under either hypothesis.
+    and each trial's realized variances, under either hypothesis.  If a pool
+    worker dies, raises ValueError naming the first trial of the first block
+    whose result never came.
     """
     kinds = list(kinds)
     if trials < 1:
@@ -178,8 +181,14 @@ def sample_statistics(
         results = [_sample_block(b) for b in blocks]
     else:
         # The pool forks all of its workers at the first submit, used or not.
+        results = []
         with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            results = list(pool.map(_sample_block, blocks))
+            try:
+                for result in pool.map(_sample_block, blocks):
+                    results.append(result)
+            except BrokenProcessPool:
+                start = starts[len(results)]
+                raise ValueError(f"a worker process died; the block at trial {start} never finished") from None
     return {kind: np.concatenate([r[kind] for r in results]) for kind in kinds}
 
 

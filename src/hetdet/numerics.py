@@ -20,6 +20,11 @@ Three evaluation branches keep full accuracy over the whole real line:
 The public functions validate their input.  The direction EM loop instead
 calls `_em_parts`, which skips validation and takes the log term and both
 conditional moments from one evaluation of the ratio per element.
+
+Two reductions the batched estimators and detectors run on every (B, K, 2)
+stack are written out, `_sq_norm` over the I/Q axis and `_pulse_sum` over
+the pulses.  Each takes numpy's own summation order, so it gives np.sum's
+bits.
 """
 
 from __future__ import annotations
@@ -51,6 +56,30 @@ def _check_sigma2(sigma2) -> np.ndarray:
 
 def _scalar_or_array(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
+
+
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """Squared norm of the trailing I/Q pairs: np.sum(x * x, axis=-1), bit for bit.
+
+    numpy reduces a length-2 axis through its generic loop, about ten times
+    slower than this one addition of the two squares.  Squares are never
+    -0.0, so the addition gives numpy's bits.
+    """
+    return x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+
+
+def _pulse_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of a C-contiguous (B, K, 2) array over pulses: np.sum(v, axis=1), bit for bit.
+
+    For this layout numpy's inner loop runs over one I/Q pair, two elements
+    per call; it starts from its identity 0.0 and adds pulse 0 to K - 1 in
+    turn.  This loop takes the same order with one whole (B, 2) slice per
+    pulse.
+    """
+    out = v[:, 0] + 0.0
+    for k in range(1, v.shape[1]):
+        out += v[:, k]
+    return out
 
 
 def _cf_tails(s: np.ndarray, depth: int = _CF_DEPTH):

@@ -11,13 +11,15 @@ their noise realizations.
 
 from __future__ import annotations
 
-import csv
 import enum
+import itertools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .numerics import _sq_norm
 
 __all__ = [
     "Burst",
@@ -102,7 +104,7 @@ class InvariantBurst:
 
 def directions(x: np.ndarray):
     """Unit directions and norms of the (..., 2) sample pairs in x."""
-    norms = np.sqrt(np.sum(x * x, axis=-1))
+    norms = np.sqrt(_sq_norm(x))
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero-norm sample")
     return x / norms[..., None], norms
@@ -401,6 +403,20 @@ class RecordedSeries:
         return self.cells[hits[0]]
 
 
+_ROW = np.dtype([("bin", np.int64), ("pulse", np.int64), ("re", float), ("im", float)])
+
+
+def _parse_rows(rows) -> np.ndarray:
+    """`bin, pulse, re, im` text rows as a structured array; floats parse as float() does."""
+    return np.loadtxt(rows, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+
+
+def _numbered_rows(path) -> list:
+    """(file line number, text) of every non-blank line after the header."""
+    with open(path, encoding="utf-8") as fh:
+        return [(n, line) for n, line in enumerate(fh, start=1) if n > 1 and line.strip()]
+
+
 def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", seed: int | None = None) -> RecordedSeries:
     """Read a recorded series from delimiter-separated text.
 
@@ -416,40 +432,50 @@ def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", see
         raise ValueError("offset must be finite")
     if offset_mode == "noise" and offset < 0:
         raise ValueError("noise offset must be >= 0")
-    entries = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["bin_index", "pulse_index", "re", "im"]:
+    with open(path, encoding="utf-8") as fh:
+        if [c.strip().lower() for c in fh.readline().split(",")] != ["bin_index", "pulse_index", "re", "im"]:
             raise ValueError(f"{path}: expected header 'bin_index, pulse_index, re, im'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                b = int(row[0])
-                p = int(row[1])
-                value = complex(float(row[2]), float(row[3]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if (b, p) in entries:
-                raise ValueError(f"{path}:{lineno}: duplicate cell ({b}, {p})")
-            entries[(b, p)] = value
-    if not entries:
-        raise ValueError(f"{path}: no data rows")
-    bins = sorted({b for b, _ in entries})
-    pulses = sorted({p for _, p in entries})
-    n_pulses = len(pulses)
-    if pulses != list(range(n_pulses)):
+        rows = (line for line in fh if line.strip())
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        try:
+            table = _parse_rows(itertools.chain([first], rows))
+        except ValueError:
+            # Only a failed parse reads the file again, to find the bad line.
+            for n, line in _numbered_rows(path):
+                fields = line.split(",")
+                if len(fields) != 4:
+                    raise ValueError(f"{path}:{n}: expected 4 fields, got {len(fields)}") from None
+                try:
+                    _parse_rows([line])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{n}: cannot read {line.strip()!r} as integer, integer, float, float"
+                    ) from None
+            raise
+    b, p = table["bin"], table["pulse"]
+    bins, bin_pos = np.unique(b, return_inverse=True)
+    pulses = np.unique(p)
+    n_pulses = pulses.size
+    if pulses[0] != 0 or pulses[-1] != n_pulses - 1:
         raise ValueError(f"{path}: pulse indices must cover 0..{n_pulses - 1} exactly")
-    cells = np.empty((len(bins), n_pulses), dtype=complex)
-    for i, b in enumerate(bins):
-        for p in range(n_pulses):
-            try:
-                cells[i, p] = entries[(b, p)]
-            except KeyError:
-                raise ValueError(f"{path}: bin {b} is missing pulse {p}") from None
+    key = bin_pos * n_pulses + p
+    first_seen = np.unique(key, return_index=True)[1]
+    if first_seen.size < key.size:
+        repeat = np.ones(key.size, dtype=bool)
+        repeat[first_seen] = False
+        i = int(np.argmax(repeat))
+        raise ValueError(f"{path}:{_numbered_rows(path)[i][0]}: duplicate cell ({b[i]}, {p[i]})")
+    if key.size < bins.size * n_pulses:
+        filled = np.zeros(bins.size * n_pulses, dtype=bool)
+        filled[key] = True
+        j = int(np.argmin(filled))
+        raise ValueError(f"{path}: bin {bins[j // n_pulses]} is missing pulse {j % n_pulses}")
+    cells = np.empty(key.size, dtype=complex)
+    cells.real[key] = table["re"]
+    cells.imag[key] = table["im"]
+    cells = cells.reshape(bins.size, n_pulses)
     if offset != 0.0:
         if offset_mode == "literal":
             cells = cells + offset
@@ -458,7 +484,7 @@ def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", see
             scale = np.sqrt(offset / 2.0)
             noise = scale * (rng.standard_normal(cells.shape) + 1j * rng.standard_normal(cells.shape))
             cells = cells + noise
-    return RecordedSeries(cells=cells, bin_labels=np.array(bins), offset=float(offset), offset_mode=offset_mode)
+    return RecordedSeries(cells=cells, bin_labels=bins, offset=float(offset), offset_mode=offset_mode)
 
 
 def sliding_bursts(series: RecordedSeries, bin_label: int, k: int, stride: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from hetdet import estimation
+from hetdet import estimation, montecarlo
 from hetdet.cli import ConfigError, main, parse_config
 from hetdet.detectors import DetectorKind
 from hetdet.montecarlo import calibrate_thresholds
@@ -28,6 +28,11 @@ def _lines(path):
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _dies_in_worker(args):
+    """Stand-in block function that ends its pool worker process."""
+    os._exit(1)
 
 
 class TestParseConfig:
@@ -232,6 +237,16 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "c.csv")])
         assert code == 3
         assert "c-gd-he statistic is not finite at burst 0" in capsys.readouterr().err
+
+    def test_dead_worker_is_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_sample_block", _dies_in_worker)
+        code = main(["calibrate", "--detectors", "ed", "--pfa", "0.1", "--trials", "1024",
+                     "--workers", "2", "--out", str(tmp_path / "thr.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "never finished" in errors[0]
+        assert "Traceback" not in err
 
     def test_malformed_recorded_file_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,5 +1,8 @@
 """Tests for threshold calibration, probability estimation, and trace averaging."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -129,6 +132,17 @@ class TestCalibration:
             CalibratedThreshold(DetectorKind.ED, 1.0, 1.5, 100, 0, WHITE)
 
 
+_sample_block = montecarlo._sample_block
+
+
+def _dies_in_second_block(args):
+    """Stand-in block function: the worker given the second block exits without a result."""
+    if args[5] == montecarlo.BLOCK_SIZE:
+        time.sleep(2.0)  # the first block's result arrives before the pool breaks
+        os._exit(1)
+    return _sample_block(args)
+
+
 class TestSampleStatistics:
     @pytest.mark.parametrize("kind", [DetectorKind.AGD, DetectorKind.C_GD_HE])
     def test_non_finite_error_names_the_trial(self, monkeypatch, kind):
@@ -199,6 +213,13 @@ class TestSampleStatistics:
         assert pool_sizes == [2]
         single = sample_statistics([DetectorKind.ED], None, WHITE, Hypothesis.H0, trials, seed=8)
         np.testing.assert_array_equal(stats[DetectorKind.ED], single[DetectorKind.ED])
+
+    def test_dead_worker_names_its_block(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_sample_block", _dies_in_second_block)
+        with pytest.raises(ValueError, match=rf"the block at trial {montecarlo.BLOCK_SIZE} never finished$"):
+            sample_statistics(
+                [DetectorKind.ED], None, WHITE, Hypothesis.H0, 3 * montecarlo.BLOCK_SIZE, seed=4, workers=2
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -327,6 +327,31 @@ class TestRecordedSeries:
         with pytest.raises(ValueError, match="cover 0"):
             ingest_recorded(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1, 2", "expected 4 fields, got 2"), ("1.0, 1, 0.0, 0.0", "cannot read"),
+         ("1, 1, 9.0, 0.0", r"duplicate cell \(1, 1\)")],
+    )
+    def test_bad_row_is_named_by_its_file_line(self, tmp_path, row, message):
+        path = tmp_path / "rec.csv"
+        path.write_text("bin_index, pulse_index, re, im\n1, 0, 0.0, 0.0\n\n   \n1, 1, 0.0, 0.0\n" + row + "\n")
+        with pytest.raises(ValueError, match=rf"rec.csv:6: {message}"):
+            ingest_recorded(path)
+
+    def test_values_equal_float_bit_for_bit(self, tmp_path):
+        texts = ["-0.0", "5e-324", "1.7976931348623157e308", "0.1", "-2.2250738585072014e-308",
+                 "1e-400", "3.14159265358979323846264338327950288", "+7", "-1E+2"]
+        # Rows out of order, CRLF endings, blank and whitespace-only lines, spaces after commas.
+        lines = ["bin_index,pulse_index,re,im"]
+        for p in reversed(range(len(texts))):
+            lines += [f"4, {p},  {texts[p]}, {texts[-1 - p]} ", "", "  "]
+        path = tmp_path / "rec.csv"
+        path.write_bytes("\r\n".join(lines).encode())
+        row = ingest_recorded(path).row(4)
+        got = np.stack([row.real, row.imag], axis=-1)
+        want = np.array([[float(t), float(u)] for t, u in zip(texts, reversed(texts))])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_literal_offset(self, tmp_path):
         path = tmp_path / "rec.csv"
         _write_series(path, [1], 8)
