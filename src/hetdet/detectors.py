@@ -24,6 +24,7 @@ import numpy as np
 
 from .estimation import (
     EstimationConfig,
+    _gaussian_sum,
     _h0_variances,
     cyclic_em_batch,
     cyclic_ml_batch,
@@ -31,8 +32,8 @@ from .estimation import (
     gaussian_loglik,
     ml_init,
 )
-from .numerics import _pulse_sum, _sq_norm, log1p_mills
-from .scenario import Burst, directions
+from .numerics import _pair_diff, _project, _pulse_sum, _sq_norm, log1p_mills
+from .scenario import Burst, _directions
 
 __all__ = [
     "Decision",
@@ -124,9 +125,8 @@ def angular_statistic(directions: np.ndarray, m: np.ndarray, sigma2: np.ndarray)
     and is exactly zero at m = 0.
     """
     m = np.asarray(m, dtype=float)
-    p = np.einsum("...kj,...j->...k", directions, m)
     msq = _sq_norm(m)
-    t = p / np.sqrt(sigma2)
+    t = _project(directions, m) / np.sqrt(sigma2)
     return -msq * np.sum(1.0 / (2.0 * sigma2), axis=-1) + np.sum(log1p_mills(t), axis=-1)
 
 
@@ -139,14 +139,15 @@ def statistics_batch(
 ) -> dict:
     """Requested decision statistics over a stack of bursts.
 
-    x has shape (B, K, 2).  The cyclic-ML run, the EM run, and the
-    no-target variance estimates are each computed once and shared by every
-    statistic that consumes them.  Returns {kind: (B,) array}; raises
-    NonFiniteStatistic, a ValueError, naming the detector and the first
-    burst index if any statistic, or the estimate it is evaluated at, is
-    not finite.
+    x has shape (B, K, 2), in any memory layout; the statistics do not
+    depend on it.  The per-sample energies, the cyclic-ML run, the EM run,
+    and the no-target variance estimates are each computed once and shared
+    by every statistic that consumes them.  Returns {kind: (B,) array};
+    raises NonFiniteStatistic, a ValueError, naming the detector and the
+    first burst index if any statistic, or the estimate it is evaluated at,
+    is not finite.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != 2:
         raise ValueError("x must have shape (B, K, 2)")
     if not np.all(np.isfinite(x)):
@@ -179,11 +180,12 @@ def statistics_batch(
         if true_sigma2.shape[-1] != k or np.any(true_sigma2 <= 0):
             raise ValueError("true_sigma2 must be positive with K entries")
 
-    z = directions(x)[0] if needs_z else None
+    e = _sq_norm(x)
+    z = _directions(x, e)[0] if needs_z else None
 
     m1 = s21 = None
     if needs_alg1:
-        m1, s21, _, _ = cyclic_ml_batch(x, ml_init(x, cfg), cfg.c0, cfg.n_co1, cfg.eps)
+        m1, s21, _, _ = cyclic_ml_batch(x, ml_init(e, cfg), cfg.c0, cfg.n_co1, cfg.eps)
 
     m2 = s22 = None
     if needs_em:
@@ -193,7 +195,10 @@ def statistics_batch(
             cfg.eps1, cfg.eps2, cfg.eps3,
         )
 
-    ll0 = gaussian_loglik(x, np.zeros(2), _h0_variances(x, cfg.c0)) if needs_h0 else None
+    # The no-target mean is 0.0, and x - 0.0 has the bits of x.
+    ll0 = _gaussian_sum(e, _h0_variances(e, cfg.c0)) if needs_h0 else None
+    if DetectorKind.ED in kinds or DetectorKind.CA_CHD in kinds:
+        energy = np.sum(x * x, axis=(-2, -1))
 
     out = {}
     for kind in kinds:
@@ -207,15 +212,14 @@ def statistics_batch(
             out[kind] = _angular(kind, z, m1, s21)
         elif kind is DetectorKind.CD:
             out[kind] = (
-                -np.sum(_sq_norm(x - true_mean) / true_sigma2, axis=-1)
-                + np.sum(_sq_norm(x) / true_sigma2, axis=-1)
+                -np.sum(_sq_norm(_pair_diff(x, true_mean)) / true_sigma2, axis=-1)
+                + np.sum(e / true_sigma2, axis=-1)
             )
         elif kind is DetectorKind.ED:
-            out[kind] = np.sum(x * x, axis=(-2, -1))
+            out[kind] = energy
         elif kind is DetectorKind.CHD:
             out[kind] = _sq_norm(_pulse_sum(x))
         else:
-            energy = np.sum(x * x, axis=(-2, -1))
             if np.any(energy == 0.0):
                 raise ValueError("ca-chd is undefined on an all-zero burst")
             out[kind] = _sq_norm(_pulse_sum(x)) / energy

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _em_parts, _pulse_sum, _sq_norm, log1p_mills
+from .numerics import (
+    _em_parts,
+    _pair_diff,
+    _per_plane,
+    _project,
+    _pulse_sum,
+    _sq_norm,
+    log1p_mills,
+)
 
 # The EM engines run on the unchecked _em_parts kernel.  The checked public
 # moment kernels stay importable under these names, where perfbench/tracer.py
@@ -109,7 +117,9 @@ class ParamEstimate:
 
 def gaussian_loglik(x: np.ndarray, m: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     """Raw-sample log-likelihood, summed over pulses; batched over leading axes."""
-    return _gaussian_sum(_sq_norm(x - np.asarray(m)[..., None, :]), sigma2)
+    x = np.ascontiguousarray(x, dtype=float)
+    m = np.ascontiguousarray(m, dtype=float)
+    return _gaussian_sum(_sq_norm(_pair_diff(x, m)), sigma2)
 
 
 def _gaussian_sum(q: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -120,9 +130,8 @@ def _gaussian_sum(q: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
 def angular_loglik(z: np.ndarray, m: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     """Direction-domain log-likelihood, summed over pulses; batched over leading axes."""
     m = np.asarray(m)
-    p = np.einsum("...kj,...j->...k", z, m)
     msq = _sq_norm(m)[..., None]
-    t = p / np.sqrt(sigma2)
+    t = _project(z, m) / np.sqrt(sigma2)
     return _loglik_sum(msq, sigma2, log1p_mills(t))
 
 
@@ -141,20 +150,21 @@ def _em_point(p: np.ndarray, msq: np.ndarray, sigma2: np.ndarray):
     return _loglik_sum(msq, sigma2, log_term), mean, resid + msq
 
 
-def _h0_variances(x: np.ndarray, c0: float) -> np.ndarray:
-    return np.maximum(0.5 * _sq_norm(x), c0)
+def _h0_variances(e: np.ndarray, c0: float) -> np.ndarray:
+    """Floored no-target variance estimates from the per-sample energies e = ||x_k||^2."""
+    return np.maximum(0.5 * e, c0)
 
 
-def ml_init(x: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
-    """Starting variances of the cyclic ML ascent: floored per-sample energies."""
-    return np.maximum(_sq_norm(x), cfg.c0)
+def ml_init(e: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
+    """Starting variances of the cyclic ML ascent from the per-sample energies e = ||x_k||^2."""
+    return np.maximum(e, cfg.c0)
 
 
 def em_init(x: np.ndarray, z: np.ndarray, cfg: EstimationConfig):
     """Starting (mean, variances) of the direction EM: floored moments of z, or of x under paper_init."""
     u = x if cfg.paper_init else z
     m0 = _pulse_sum(u) / u.shape[1]
-    return m0, np.maximum(0.5 * _sq_norm(u - m0[:, None, :]), cfg.c0)
+    return m0, np.maximum(0.5 * _sq_norm(_pair_diff(u, m0)), cfg.c0)
 
 
 def _ascend(step, state, consts, ll0, n_max: int, eps: float):
@@ -166,25 +176,37 @@ def _ascend(step, state, consts, ll0, n_max: int, eps: float):
     log-likelihood moves by less than eps, and its rows are then left alone.
     Returns (state, trace (B, n_max + 1) with ll0 in column 0 and NaN past
     each burst's stopping point, iteration counts (B,)).
+
+    The loop keeps the active rows compacted: an iteration where no burst
+    stops copies nothing, and one where some stop writes back only theirs.
     """
-    state = tuple(np.array(s, dtype=float) for s in state)
+    out = tuple(np.array(s, dtype=float) for s in state)
     b = ll0.shape[0]
     trace = np.full((b, n_max + 1), np.nan)
     trace[:, 0] = ll0
-    iters = np.zeros(b, dtype=int)
-    active = np.ones(b, dtype=bool)
+    iters = np.full(b, n_max)
+    rows = np.arange(b)
+    cur, last = out, ll0
     for n in range(1, n_max + 1):
-        new, ll_new = step(*(s[active] for s in state), *(c[active] for c in consts))
-        for s, value in zip(state, new):
-            s[active] = value
-        # Every burst active now was active at n - 1, so column n - 1 holds its last value.
-        done = np.abs(ll_new - trace[active, n - 1]) < eps
-        trace[active, n] = ll_new
-        iters[active] = n
-        active[np.nonzero(active)[0][done]] = False
-        if not active.any():
-            break
-    return state, trace, iters
+        cur, ll = step(*cur, *consts)
+        trace[rows, n] = ll
+        done = np.abs(ll - last) < eps
+        if done.any():
+            stopped = rows[done]
+            for o, s in zip(out, cur):
+                o[stopped] = s[done]
+            iters[stopped] = n
+            keep = ~done
+            rows = rows[keep]
+            if not rows.size:
+                return out, trace, iters
+            cur = tuple(s[keep] for s in cur)
+            consts = tuple(c[keep] for c in consts)
+            ll = ll[keep]
+        last = ll
+    for o, s in zip(out, cur):
+        o[rows] = s
+    return out, trace, iters
 
 
 def cyclic_ml_batch(x: np.ndarray, sigma2_init: np.ndarray, c0: float, n_max: int, eps: float):
@@ -197,11 +219,12 @@ def cyclic_ml_batch(x: np.ndarray, sigma2_init: np.ndarray, c0: float, n_max: in
 
     def step(m, s2, xa):
         w = 1.0 / s2
-        m_new = _pulse_sum(xa * w[..., None]) / np.sum(w, axis=1)[:, None]
-        q = _sq_norm(xa - m_new[:, None, :])
+        m_new = _per_plane(np.divide, _pulse_sum(_per_plane(np.multiply, xa, w)), np.sum(w, axis=1))
+        q = _sq_norm(_pair_diff(xa, m_new))
         s2_new = np.maximum(0.5 * q, c0)
         return (m_new, s2_new), _gaussian_sum(q, s2_new)
 
+    x = np.ascontiguousarray(x, dtype=float)
     b = x.shape[0]
     (m, s2), trace, iters = _ascend(
         step, (np.zeros((b, 2)), sigma2_init), (x,), np.full(b, -np.inf), n_max, eps
@@ -216,11 +239,11 @@ def em_mean_batch(z: np.ndarray, m_init: np.ndarray, sigma2: np.ndarray, n_max: 
     """
 
     def at(za, m, s2):
-        ll, h, _ = _em_point(np.einsum("bkj,bj->bk", za, m), _sq_norm(m)[:, None], s2)
+        ll, h, _ = _em_point(_project(za, m), _sq_norm(m)[:, None], s2)
         return ll, h
 
     def step(m, h, za, s2, w, w_sum):
-        m_new = _pulse_sum((h * w)[..., None] * za) / w_sum[:, None]
+        m_new = _per_plane(np.divide, _pulse_sum(_per_plane(np.multiply, za, h * w)), w_sum)
         ll_new, h_new = at(za, m_new, s2)
         return (m_new, h_new), ll_new
 
@@ -244,7 +267,7 @@ def em_sigma_batch(z: np.ndarray, m: np.ndarray, sigma2_init: np.ndarray, c0: fl
         ll_new, _, resid_new = _em_point(p, msq, s2_new)
         return (s2_new, resid_new), ll_new
 
-    p = np.einsum("bkj,bj->bk", z, m)
+    p = _project(z, m)
     msq = _sq_norm(m)[:, None]
     ll0, _, resid0 = _em_point(p, msq, sigma2_init)
     (s2, _), trace, iters = _ascend(step, (sigma2_init, resid0), (p, msq), ll0, n_max, eps)
@@ -307,7 +330,7 @@ def ml_sigma_h0(burst: Burst, c0: float) -> np.ndarray:
     x = _check_burst(burst)
     if not (np.isfinite(c0) and c0 > 0):
         raise ValueError("c0 must be finite and > 0")
-    return _h0_variances(x[None], c0)[0]
+    return _h0_variances(_sq_norm(x), c0)
 
 
 def cyclic_ml_h1(burst: Burst, cfg: EstimationConfig, sigma2_init: np.ndarray) -> ParamEstimate:

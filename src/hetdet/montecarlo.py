@@ -31,6 +31,7 @@ from .estimation import (
     em_sigma_batch,
     ml_init,
 )
+from .numerics import _sq_norm
 from .scenario import Hypothesis, ScenarioConfig, directions, gen_block
 
 BLOCK_SIZE = 512
@@ -438,7 +439,7 @@ def convergence_trace(
         count = min(BLOCK_SIZE, trials - start)
         x, _ = gen_block(scen, Hypothesis.H1, seed, start, count)
         if algorithm is AlgorithmTag.ALG1:
-            _, _, trace, _ = cyclic_ml_batch(x, ml_init(x, cfg), cfg.c0, cfg.n_co1, 0.0)
+            _, _, trace, _ = cyclic_ml_batch(x, ml_init(_sq_norm(x), cfg), cfg.c0, cfg.n_co1, 0.0)
         else:
             z = directions(x)[0]
             m0, s20 = em_init(x, z, cfg)

@@ -21,10 +21,20 @@ The public functions validate their input.  The direction EM loop instead
 calls `_em_parts`, which skips validation and takes the log term and both
 conditional moments from one evaluation of the ratio per element.
 
-Two reductions the batched estimators and detectors run on every (B, K, 2)
-stack are written out, `_sq_norm` over the I/Q axis and `_pulse_sum` over
-the pulses.  Each takes numpy's own summation order, so it gives np.sum's
-bits.
+The batched estimators and detectors work on (B, K, 2) stacks of I/Q
+pairs.  numpy runs an operation whose innermost axis has length 2 (a
+reduction over the I/Q axis, or a broadcast such as `x * w[..., None]`) by
+calling its inner loop once per pair, several times slower than one pass
+over the whole stack.  So no hot path broadcasts over a length-2 trailing
+axis or reduces over a small axis; the helpers below do the same arithmetic
+in one pass each, and give numpy's bits:
+
+- `_sq_norm` and `_pulse_sum`, the sums over the I/Q axis and the pulses;
+- `_pair_diff` and `_pair_sum`, the pair subtraction and addition on
+  complex128 views, since a complex add is the componentwise IEEE add;
+- `_per_plane`, a product or quotient by a per-pair factor, one strided
+  operation per I/Q plane;
+- `_project`, the inner products np.einsum("...kj,...j->...k", z, m).
 """
 
 from __future__ import annotations
@@ -68,18 +78,66 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
     return x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
 
 
+def _iq(v: np.ndarray) -> np.ndarray:
+    """The trailing I/Q pairs of a float64 array as a complex128 view of shape v.shape[:-1].
+
+    The last axis must be contiguous; numpy raises otherwise.
+    """
+    return v.view(np.complex128)[..., 0]
+
+
+def _pairs(c: np.ndarray) -> np.ndarray:
+    """The float64 (..., 2) view of a complex128 array; the inverse of _iq."""
+    return c[..., None].view(np.float64)
+
+
 def _pulse_sum(v: np.ndarray) -> np.ndarray:
     """Sum of a C-contiguous (B, K, 2) array over pulses: np.sum(v, axis=1), bit for bit.
 
     For this layout numpy's inner loop runs over one I/Q pair, two elements
     per call; it starts from its identity 0.0 and adds pulse 0 to K - 1 in
-    turn.  This loop takes the same order with one whole (B, 2) slice per
+    turn.  This loop takes the same order with one complex (B,) slice per
     pulse.
     """
-    out = v[:, 0] + 0.0
-    for k in range(1, v.shape[1]):
-        out += v[:, k]
+    c = _iq(v)
+    out = c[:, 0] + 0.0
+    for k in range(1, c.shape[1]):
+        out += c[:, k]
+    return _pairs(out)
+
+
+def _pair_diff(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x - m[..., None, :] for pairs x (..., K, 2) and m (..., 2), bit for bit."""
+    return _pairs(_iq(x) - _iq(m)[..., None])
+
+
+def _pair_sum(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """x + t for pair arrays x (..., 2) and t (..., 2) that broadcast, bit for bit."""
+    return _pairs(_iq(x) + _iq(t))
+
+
+def _per_plane(op, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """op(x, v[..., None]) for pairs x (..., 2) and a factor v that broadcasts against x[..., 0].
+
+    op is a binary ufunc such as np.multiply or np.divide; each I/Q plane is
+    one strided pass of the same elementwise operation, so the bits match.
+    """
+    out = np.empty(np.broadcast_shapes(x.shape[:-1], np.shape(v)) + (2,))
+    op(x[..., 0], v, out=out[..., 0])
+    op(x[..., 1], v, out=out[..., 1])
     return out
+
+
+def _project(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Inner products of pairs z (..., K, 2) with m (..., 2): np.einsum("...kj,...j->...k", z, m).
+
+    einsum accumulates 0.0 + z0*m0 + z1*m1 from left to right; the leading
+    0.0 turns a -0.0 sum into +0.0, so this order gives its bits.
+    """
+    p = z[..., 0] * m[..., None, 0]
+    p += 0.0
+    p += z[..., 1] * m[..., None, 1]
+    return p
 
 
 def _cf_tails(s: np.ndarray, depth: int = _CF_DEPTH):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import _sq_norm
+from .numerics import _pair_sum, _per_plane, _sq_norm
 
 __all__ = [
     "Burst",
@@ -104,10 +104,15 @@ class InvariantBurst:
 
 def directions(x: np.ndarray):
     """Unit directions and norms of the (..., 2) sample pairs in x."""
-    norms = np.sqrt(_sq_norm(x))
+    return _directions(x, _sq_norm(x))
+
+
+def _directions(x: np.ndarray, sq_norms: np.ndarray):
+    """directions(x) from the squared norms of its pairs, for a caller that has them."""
+    norms = np.sqrt(sq_norms)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero-norm sample")
-    return x / norms[..., None], norms
+    return _per_plane(np.divide, x, norms), norms
 
 
 def to_invariant(burst: Burst) -> InvariantBurst:
@@ -303,9 +308,9 @@ def _bursts(cfg: ScenarioConfig, hypothesis: Hypothesis, u: np.ndarray, g: np.nd
         sigma2 = cfg.delta * u + cfg.sigma_n2
     else:
         sigma2 = cfg.sigma_n2 * u
-    x = np.sqrt(sigma2)[..., None] * g
+    x = _per_plane(np.multiply, g, np.sqrt(sigma2))
     if hypothesis is Hypothesis.H1:
-        x = x + cfg.target_mean
+        x = _pair_sum(x, cfg.target_mean)
     return x, sigma2
 
 

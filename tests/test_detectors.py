@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetdet import estimation
 from hetdet.detectors import (
@@ -220,6 +222,38 @@ class TestStatisticsBatch:
             statistics_batch(x, [DetectorKind.CD], cfg)
         with pytest.raises(ValueError, match="K >= 2"):
             statistics_batch(np.ones((2, 1, 2)), [DetectorKind.GD_HE], cfg)
+
+    def test_memory_layout_does_not_change_bits(self):
+        scfg = ScenarioConfig(k=16, delta=10.0, snr_db=9.0)
+        cfg = EstimationConfig()
+        x, s2 = gen_block(scfg, Hypothesis.H1, seed=72, start=0, count=300)
+        want = statistics_batch(x, ALL_KINDS, cfg, scfg.target_mean, s2)
+        pulse_major = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+        for other in (np.asfortranarray(x), pulse_major):
+            got = statistics_batch(other, ALL_KINDS, cfg, scfg.target_mean, s2)
+            for kind in ALL_KINDS:
+                np.testing.assert_array_equal(got[kind].view(np.uint64), want[kind].view(np.uint64))
+
+    @settings(max_examples=8)
+    @given(groups=st.lists(st.integers(0, 3), min_size=64, max_size=64))
+    def test_row_partition_does_not_change_bits(self, groups):
+        # Bursts stop at different iterations in different groups, so every
+        # engine compacts its working set at different points.
+        scfg = ScenarioConfig(k=16, delta=10.0, snr_db=6.0)
+        cfg = EstimationConfig()
+        x0, s20 = gen_block(scfg, Hypothesis.H0, seed=73, start=0, count=32)
+        x1, s21 = gen_block(scfg, Hypothesis.H1, seed=73, start=32, count=32)
+        x, s2 = np.concatenate([x0, x1]), np.concatenate([s20, s21])
+        whole = statistics_batch(x, ALL_KINDS, cfg, scfg.target_mean, s2)
+        parts = {kind: np.empty(x.shape[0]) for kind in ALL_KINDS}
+        groups = np.array(groups)
+        for g in np.unique(groups):
+            rows = np.flatnonzero(groups == g)
+            got = statistics_batch(x[rows], ALL_KINDS, cfg, scfg.target_mean, s2[rows])
+            for kind in ALL_KINDS:
+                parts[kind][rows] = got[kind]
+        for kind in ALL_KINDS:
+            np.testing.assert_array_equal(parts[kind].view(np.uint64), whole[kind].view(np.uint64))
 
     def test_zero_norm_sample_rejected_for_direction_detectors(self):
         x = np.ones((1, 4, 2))

@@ -1,9 +1,12 @@
-"""The written-out I/Q and pulse sums against the numpy reductions they replace.
+"""The written-out I/Q and pulse arithmetic against the numpy forms it replaces.
 
-`numerics._sq_norm` and `numerics._pulse_sum` must give np.sum's bits.  The
-property test checks the helpers alone; the reference test keeps the
-np.sum-based formulas the estimators, detectors and `directions` used
-before, and checks every statistic and batched engine against them.
+The `numerics` pair helpers (`_sq_norm`, `_pulse_sum`, `_pair_diff`,
+`_pair_sum`, `_per_plane`, `_project`) must give numpy's bits.  The
+property tests check the helpers alone; the reference test keeps the
+np.sum, broadcast and einsum formulas the estimators, detectors and
+`directions` used before, with their own copy of the ascent loop that
+wrote every row back on every iteration, and checks every statistic and
+batched engine against them.
 """
 
 import numpy as np
@@ -15,13 +18,21 @@ from hetdet import detectors
 from hetdet.detectors import DetectorKind, statistics_batch
 from hetdet.estimation import (
     EstimationConfig,
-    _ascend,
     _em_point,
+    cyclic_ml_batch,
     em_init,
     em_mean_batch,
     em_sigma_batch,
 )
-from hetdet.numerics import _pulse_sum, _sq_norm, log1p_mills
+from hetdet.numerics import (
+    _pair_diff,
+    _pair_sum,
+    _per_plane,
+    _project,
+    _pulse_sum,
+    _sq_norm,
+    log1p_mills,
+)
 from hetdet.scenario import Hypothesis, ScenarioConfig, directions, gen_block
 
 
@@ -33,12 +44,28 @@ def _assert_same_bits(got, want):
     )
 
 
+_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, np.inf, -np.inf, np.nan]
+
+
+def _assert_same_bits_but_nan_payloads(got, want):
+    """Bit for bit, except that a NaN may have any sign and payload.
+
+    IEEE 754 leaves open which NaN an operation on NaN operands returns, and
+    numpy's loops choose differently: np.sum and a complex add, or einsum
+    and its written-out form, can give NaNs of opposite sign.
+    """
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    _assert_same_bits(np.where(np.isnan(got), np.nan, got), np.where(np.isnan(want), np.nan, want))
+
+
 @st.composite
-def _stacks(draw):
+def _stacks(draw, specials=False):
     """A C-contiguous (B, K, 2) stack, cut by a boolean row mask as `_ascend` cuts its state.
 
     Magnitudes span 1e-300 to 1e300 with both signs, and some entries are
-    +0.0 or -0.0 (all of them, in some examples).
+    +0.0 or -0.0 (all of them, in some examples).  With `specials`, some
+    entries are also subnormal, infinite or NaN.
     """
     rows = draw(st.integers(1, 600))
     k = draw(st.integers(2, 64))
@@ -47,6 +74,9 @@ def _stacks(draw):
     v = rng.choice([-1.0, 1.0], size=(rows, k, 2)) * 10.0 ** rng.uniform(lo, hi, size=(rows, k, 2))
     zeros = rng.random(v.shape) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     v[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+    if specials:
+        hit = rng.random(v.shape) < draw(st.sampled_from([0.02, 0.3]))
+        v[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
     keep = rng.random(rows) < draw(st.sampled_from([1.0, 0.7, 0.2]))
     keep[rng.integers(rows)] = True
     return v[keep]
@@ -67,8 +97,61 @@ class TestHelpersMatchNumpy:
         _assert_same_bits(_pulse_sum(v), np.zeros((3, 2)))
         _assert_same_bits(_sq_norm(v), np.zeros((3, 5)))
 
+    @settings(max_examples=150)
+    @given(v=_stacks(specials=True))
+    def test_pair_helpers_bit_for_bit(self, v):
+        # Factors and means come from other entries of the same stack, specials included.
+        w = v[::-1, :, 1]
+        m = v[::-1, -1]
+        t = v[0, 0]
+        same = _assert_same_bits_but_nan_payloads
+        with np.errstate(all="ignore"):
+            same(_per_plane(np.multiply, v, w), v * w[..., None])
+            same(_per_plane(np.divide, v, w), v / w[..., None])
+            same(_per_plane(np.divide, m, w[:, 0]), m / w[:, 0, None])
+            same(_pair_diff(v, m), v - m[..., None, :])
+            same(_pair_diff(v, t), v - t)
+            same(_pair_sum(v, t), v + t)
+            same(_project(v, m), np.einsum("bkj,bj->bk", v, m))
+            same(_project(v, t), np.einsum("...kj,...j->...k", v, t))
+            same(_pulse_sum(v), np.sum(v, axis=1))
+            same(_sq_norm(v), np.sum(v * v, axis=-1))
 
-# The np.sum-based formulas the package used before the sums were written out.
+    def test_projection_of_signed_zeros(self):
+        # Both products of every pair are -0.0; einsum starts from +0.0 and returns +0.0.
+        z = np.array([[[-0.0, 1.0], [-0.0, 3.0], [-0.0, 0.0]]])
+        m = np.array([[1.0, -0.0]])
+        _assert_same_bits(_project(z, m), np.einsum("bkj,bj->bk", z, m))
+        _assert_same_bits(_project(z, m), np.zeros((1, 3)))
+
+
+# The ascent loop, np.sum, broadcast and einsum formulas the package used
+# before the pair arithmetic was written out.
+
+
+def _ref_ascend(step, state, consts, ll0, n_max, eps):
+    """The ascent loop as it was before the engines kept a compacted working set.
+
+    It cuts every state and constant array down to the active rows and
+    writes the state back on every iteration.
+    """
+    state = tuple(np.array(s, dtype=float) for s in state)
+    b = ll0.shape[0]
+    trace = np.full((b, n_max + 1), np.nan)
+    trace[:, 0] = ll0
+    iters = np.zeros(b, dtype=int)
+    active = np.ones(b, dtype=bool)
+    for n in range(1, n_max + 1):
+        new, ll_new = step(*(s[active] for s in state), *(c[active] for c in consts))
+        for s, value in zip(state, new):
+            s[active] = value
+        done = np.abs(ll_new - trace[active, n - 1]) < eps
+        trace[active, n] = ll_new
+        iters[active] = n
+        active[np.nonzero(active)[0][done]] = False
+        if not active.any():
+            break
+    return state, trace, iters
 
 
 def _ref_gaussian_loglik(x, m, sigma2):
@@ -110,7 +193,7 @@ def _ref_cyclic_ml(x, sigma2_init, c0, n_max, eps):
         return (m_new, s2_new), _ref_gaussian_loglik(xa, m_new, s2_new)
 
     b = x.shape[0]
-    (m, s2), trace, iters = _ascend(
+    (m, s2), trace, iters = _ref_ascend(
         step, (np.zeros((b, 2)), sigma2_init), (x,), np.full(b, -np.inf), n_max, eps
     )
     return m, s2, trace[:, 1:], iters
@@ -128,7 +211,7 @@ def _ref_em_mean(z, m_init, sigma2, n_max, eps):
 
     w = 1.0 / sigma2
     ll0, h0 = at(z, m_init, sigma2)
-    (m, _), trace, iters = _ascend(
+    (m, _), trace, iters = _ref_ascend(
         step, (m_init, h0), (z, sigma2, w, np.sum(w, axis=1)), ll0, n_max, eps
     )
     return m, trace, iters
@@ -143,7 +226,7 @@ def _ref_em_sigma(z, m, sigma2_init, c0, n_max, eps):
     p = np.einsum("bkj,bj->bk", z, m)
     msq = np.sum(m * m, axis=-1)[:, None]
     ll0, _, resid0 = _em_point(p, msq, sigma2_init)
-    (s2, _), trace, iters = _ascend(step, (sigma2_init, resid0), (p, msq), ll0, n_max, eps)
+    (s2, _), trace, iters = _ref_ascend(step, (sigma2_init, resid0), (p, msq), ll0, n_max, eps)
     return s2, trace, iters
 
 
@@ -153,7 +236,7 @@ def _ref_cyclic_em(z, m_init, sigma2_init, c0, n_co2, n_em_m, n_em_sigma, eps1, 
         s2_new, trace, iters = _ref_em_sigma(za, m_new, s2, c0, n_em_sigma, eps2)
         return (m_new, s2_new), trace[np.arange(iters.size), iters]
 
-    (m, s2), trace, iters = _ascend(
+    (m, s2), trace, iters = _ref_ascend(
         step, (m_init, sigma2_init), (z,), _ref_angular_loglik(z, m_init, sigma2_init), n_co2, eps3
     )
     return m, s2, trace, iters
@@ -225,3 +308,17 @@ class TestMatchesNumpyReference:
                  _ref_em_sigma(z, m0, s20, cfg.c0, cfg.n_em_sigma, cfg.eps2)),
         ]:
             _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("delta", [0.0, 10.0])
+    def test_cyclic_ml_stops_and_caps(self, delta):
+        # At δ=0 every burst stops before the cap, so the loop ends early; at δ=10 some reach it.
+        cfg = EstimationConfig()
+        x, _ = gen_block(ScenarioConfig(k=16, delta=delta, snr_db=9.0), Hypothesis.H0, 67, 0, 1000)
+        init = np.maximum(np.sum(x * x, axis=-1), cfg.c0)
+        got = cyclic_ml_batch(x, init, cfg.c0, cfg.n_co1, cfg.eps)
+        want = _ref_cyclic_ml(x, init, cfg.c0, cfg.n_co1, cfg.eps)
+        iters = want[3]
+        assert np.any(iters == 2) and np.any((iters > 2) & (iters < cfg.n_co1))
+        assert np.any(iters == cfg.n_co1) == (delta > 0.0)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
