@@ -12,40 +12,21 @@ and a deterministic Monte Carlo harness with a command-line front end.
 __version__ = "0.1.0"
 
 from .detectors import (
-    Decision,
     DetectorKind,
-    agd,
     angular_statistic,
-    c_agd,
-    c_gd_he,
-    ca_chd,
-    cd,
-    chd,
-    decide,
-    ed,
-    gd_he,
     statistics_batch,
 )
 from .estimation import (
     EstimationConfig,
-    ParamEstimate,
     angular_loglik,
-    cyclic_em,
-    cyclic_ml_h1,
-    em_mean_step,
-    em_sigma_step,
     gaussian_loglik,
-    ml_sigma_h0,
 )
 from .montecarlo import (
     AlgorithmTag,
     CalibratedThreshold,
     CurvePoint,
-    calibrate_threshold,
     calibrate_thresholds,
     convergence_trace,
-    estimate_pfa,
-    pd_curve,
     pd_curves,
     pfa_sweep,
     sample_statistics,
@@ -66,69 +47,39 @@ from .numerics import (
     xi_derivatives,
 )
 from .scenario import (
-    Burst,
-    GroundTruth,
     Hypothesis,
-    InvariantBurst,
     RecordedSeries,
     ScenarioConfig,
     gen_block,
-    gen_compound_gaussian,
-    gen_uniform_het,
     ingest_recorded,
     pulse_powers,
     sliding_bursts,
-    to_invariant,
     trial_rng,
 )
 
 __all__ = [
     "__version__",
     "AlgorithmTag",
-    "Burst",
     "CalibratedThreshold",
     "CurvePoint",
-    "Decision",
     "DetectorKind",
     "EstimationConfig",
-    "GroundTruth",
     "Hypothesis",
-    "InvariantBurst",
-    "ParamEstimate",
     "RecordedSeries",
     "ScenarioConfig",
-    "agd",
     "angular_loglik",
     "angular_pdf_h1",
     "angular_statistic",
-    "c_agd",
-    "c_gd_he",
-    "ca_chd",
-    "calibrate_threshold",
     "calibrate_thresholds",
-    "cd",
-    "chd",
     "cond_mean_norm",
     "cond_mean_sq_residual",
     "convergence_trace",
-    "cyclic_em",
-    "cyclic_ml_h1",
-    "decide",
-    "ed",
-    "em_mean_step",
-    "em_sigma_step",
-    "estimate_pfa",
     "gaussian_loglik",
     "gaussian_pdf",
-    "gd_he",
     "gen_block",
-    "gen_compound_gaussian",
-    "gen_uniform_het",
     "ingest_recorded",
     "log1p_mills",
     "mills_term",
-    "ml_sigma_h0",
-    "pd_curve",
     "pd_curves",
     "pfa_sweep",
     "pulse_powers",
@@ -136,7 +87,6 @@ __all__ = [
     "sliding_bursts",
     "statistics_batch",
     "statistics_for_bursts",
-    "to_invariant",
     "trial_rng",
     "wilson_interval",
     "write_curves_csv",

@@ -395,11 +395,14 @@ def parse_config(argv=None) -> RunConfig:
             bad = [k.value for k in detectors if k.requires_truth]
             if bad:
                 raise ConfigError(f"recorded data carries no ground truth for: {', '.join(bad)}")
+            bins = _parse_list(res.get("bins"), "bins", int)
+            if len(set(bins)) != len(bins):
+                raise ConfigError("duplicate range bins")
             return replace(
                 base,
                 cal_trials=cal_trials, cal_seed=cal_seed,
                 recorded=str(recorded),
-                bins=_parse_list(res.get("bins"), "bins", int) or None,
+                bins=bins or None,
                 stride=res.number("stride", scen.k, int, minimum=1),
                 **_offset_fields(res),
             )

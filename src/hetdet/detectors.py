@@ -11,14 +11,14 @@ log-likelihood domains:
 
 Three reference statistics need no estimation (ed, chd, ca_chd) and one is
 clairvoyant (cd, true parameters supplied).  `statistics_batch` computes any
-subset over a stack of bursts while sharing the estimation runs; the
-per-burst functions are thin wrappers over it, so both paths are identical.
+subset over a stack of bursts while sharing the estimation runs; a single
+burst is a stack of one.  A statistic declares a detection when it strictly
+exceeds its threshold (`montecarlo.exceedance_curves`), so a tie does not.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +33,11 @@ from .estimation import (
     ml_init,
 )
 from .numerics import _pair_diff, _project, _pulse_sum, _sq_norm, log1p_mills
-from .scenario import Burst, _directions
+from .scenario import _directions
 
 __all__ = [
-    "Decision",
     "DetectorKind",
-    "agd",
     "angular_statistic",
-    "c_agd",
-    "c_gd_he",
-    "ca_chd",
-    "cd",
-    "chd",
-    "decide",
-    "ed",
-    "gd_he",
     "statistics_batch",
 ]
 
@@ -76,26 +66,6 @@ class DetectorKind(enum.Enum):
         except ValueError:
             valid = ", ".join(k.value for k in cls)
             raise ValueError(f"unknown detector {token!r}; expected one of: {valid}") from None
-
-
-@dataclass(frozen=True)
-class Decision:
-    """One thresholded decision; ties go to the no-target hypothesis."""
-
-    statistic: float
-    threshold: float
-    declared: bool
-
-    def __post_init__(self):
-        if not (np.isfinite(self.statistic) and np.isfinite(self.threshold)):
-            raise ValueError("statistic and threshold must be finite")
-        if self.declared != (self.statistic > self.threshold):
-            raise ValueError("declared must equal statistic > threshold")
-
-
-def decide(statistic: float, threshold: float) -> Decision:
-    """Compare a statistic against a threshold, strictly."""
-    return Decision(float(statistic), float(threshold), bool(statistic > threshold))
 
 
 class NonFiniteStatistic(ValueError):
@@ -142,10 +112,11 @@ def statistics_batch(
     x has shape (B, K, 2), in any memory layout; the statistics do not
     depend on it.  The per-sample energies, the cyclic-ML run, the EM run,
     and the no-target variance estimates are each computed once and shared
-    by every statistic that consumes them.  Returns {kind: (B,) array};
-    raises NonFiniteStatistic, a ValueError, naming the detector and the
-    first burst index if any statistic, or the estimate it is evaluated at,
-    is not finite.
+    by every statistic that consumes them.  cd needs a finite true_mean (2,)
+    and positive, finite true_sigma2 of shape (K,) or (B, K).  Returns
+    {kind: (B,) array}; raises NonFiniteStatistic, a ValueError, naming the
+    detector and the first burst index if any statistic, or the estimate it
+    is evaluated at, is not finite.
     """
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != 2:
@@ -175,10 +146,12 @@ def statistics_batch(
             raise ValueError("cd needs true_mean and true_sigma2")
         true_mean = np.asarray(true_mean, dtype=float)
         true_sigma2 = np.asarray(true_sigma2, dtype=float)
-        if true_mean.shape != (2,):
-            raise ValueError("true_mean must be a 2-vector")
-        if true_sigma2.shape[-1] != k or np.any(true_sigma2 <= 0):
-            raise ValueError("true_sigma2 must be positive with K entries")
+        if true_mean.shape != (2,) or not np.all(np.isfinite(true_mean)):
+            raise ValueError("true_mean must be a finite 2-vector")
+        if true_sigma2.shape not in ((k,), (x.shape[0], k)):
+            raise ValueError(f"true_sigma2 must have shape (K,) or (B, K), got {true_sigma2.shape}")
+        if not np.all(np.isfinite(true_sigma2) & (true_sigma2 > 0)):
+            raise ValueError("true_sigma2 must be finite and positive")
 
     e = _sq_norm(x)
     z = _directions(x, e)[0] if needs_z else None
@@ -229,50 +202,3 @@ def statistics_batch(
         if bad.size:
             raise NonFiniteStatistic(kind, int(bad[0]))
     return out
-
-
-def _single(burst: Burst, kind: DetectorKind, cfg=None, true_mean=None, true_sigma2=None) -> float:
-    if not isinstance(burst, Burst):
-        raise ValueError("expected a Burst")
-    values = statistics_batch(burst.samples[None], [kind], cfg, true_mean, true_sigma2)
-    return float(values[kind][0])
-
-
-def gd_he(burst: Burst, cfg: EstimationConfig) -> float:
-    """Raw-domain generalized likelihood ratio with cyclic-ML estimates."""
-    return _single(burst, DetectorKind.GD_HE, cfg)
-
-
-def agd(burst: Burst, cfg: EstimationConfig) -> float:
-    """Direction-domain statistic with direction-domain EM estimates."""
-    return _single(burst, DetectorKind.AGD, cfg)
-
-
-def c_gd_he(burst: Burst, cfg: EstimationConfig) -> float:
-    """Raw-domain likelihood ratio evaluated at direction-domain EM estimates."""
-    return _single(burst, DetectorKind.C_GD_HE, cfg)
-
-
-def c_agd(burst: Burst, cfg: EstimationConfig) -> float:
-    """Direction-domain statistic evaluated at cyclic-ML estimates."""
-    return _single(burst, DetectorKind.C_AGD, cfg)
-
-
-def cd(burst: Burst, true_m: np.ndarray, true_sigma2: np.ndarray) -> float:
-    """Clairvoyant quadratic statistic at the true parameters."""
-    return _single(burst, DetectorKind.CD, true_mean=true_m, true_sigma2=true_sigma2)
-
-
-def ed(burst: Burst) -> float:
-    """Total received energy."""
-    return _single(burst, DetectorKind.ED)
-
-
-def chd(burst: Burst) -> float:
-    """Squared norm of the coherent sum."""
-    return _single(burst, DetectorKind.CHD)
-
-
-def ca_chd(burst: Burst) -> float:
-    """Coherent-sum power normalized by total energy; lies in [0, K]."""
-    return _single(burst, DetectorKind.CA_CHD)

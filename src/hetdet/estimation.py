@@ -13,9 +13,9 @@ by a variance floor c0:
 
 The batched engines work on stacks of bursts ((B, K, 2) arrays) and share
 one ascent driver with per-burst early stopping; each engine supplies only
-its update step, and the public per-burst operations wrap them.  Every
-step is an exact coordinate ascent or EM step, so all traces are
-non-decreasing up to float rounding.
+its update step.  A single burst is a stack of one.  Every step is an
+exact coordinate ascent or EM step, so all traces are non-decreasing up to
+float rounding.
 """
 
 from __future__ import annotations
@@ -38,24 +38,17 @@ from .numerics import (
 # moment kernels stay importable under these names, where perfbench/tracer.py
 # wraps them.
 from .numerics import cond_mean_norm, cond_mean_sq_residual  # noqa: F401
-from .scenario import Burst, InvariantBurst
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 __all__ = [
     "EstimationConfig",
-    "ParamEstimate",
     "angular_loglik",
-    "cyclic_em",
     "cyclic_em_batch",
     "cyclic_ml_batch",
-    "cyclic_ml_h1",
     "em_mean_batch",
-    "em_mean_step",
     "em_sigma_batch",
-    "em_sigma_step",
     "gaussian_loglik",
-    "ml_sigma_h0",
 ]
 
 
@@ -89,30 +82,6 @@ class EstimationConfig:
         for name in ("eps", "eps1", "eps2", "eps3"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class ParamEstimate:
-    """Mean estimate, per-sample variance estimates, and the iteration trace.
-
-    The trace pairs iteration indices with log-likelihood values; index 0 is
-    the initialization where the estimator defines one.
-    """
-
-    m_hat: np.ndarray
-    sigma2_hat: np.ndarray
-    trace: tuple
-
-    def __post_init__(self):
-        m = np.array(self.m_hat, dtype=float)
-        s2 = np.array(self.sigma2_hat, dtype=float)
-        if m.shape != (2,) or s2.ndim != 1:
-            raise ValueError("m_hat must be (2,) and sigma2_hat a vector")
-        m.flags.writeable = False
-        s2.flags.writeable = False
-        object.__setattr__(self, "m_hat", m)
-        object.__setattr__(self, "sigma2_hat", s2)
-        object.__setattr__(self, "trace", tuple((int(i), float(v)) for i, v in self.trace))
 
 
 def gaussian_loglik(x: np.ndarray, m: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -303,87 +272,3 @@ def cyclic_em_batch(
         step, (m_init, sigma2_init), (z,), angular_loglik(z, m_init, sigma2_init), n_co2, eps3
     )
     return m, s2, trace, iters
-
-
-def _check_burst(burst: Burst) -> np.ndarray:
-    if not isinstance(burst, Burst):
-        raise ValueError("expected a Burst")
-    if burst.k < 2:
-        raise ValueError("estimation needs at least 2 samples")
-    return burst.samples
-
-
-def _check_inv(inv: InvariantBurst) -> np.ndarray:
-    if not isinstance(inv, InvariantBurst):
-        raise ValueError("expected an InvariantBurst")
-    if inv.k < 2:
-        raise ValueError("estimation needs at least 2 samples")
-    return inv.directions
-
-
-def _trace_list(row: np.ndarray, first_index: int):
-    return [(first_index + j, float(v)) for j, v in enumerate(row) if not np.isnan(v)]
-
-
-def ml_sigma_h0(burst: Burst, c0: float) -> np.ndarray:
-    """Floored per-sample variance ML estimates under the no-target hypothesis."""
-    x = _check_burst(burst)
-    if not (np.isfinite(c0) and c0 > 0):
-        raise ValueError("c0 must be finite and > 0")
-    return _h0_variances(_sq_norm(x), c0)
-
-
-def cyclic_ml_h1(burst: Burst, cfg: EstimationConfig, sigma2_init: np.ndarray) -> ParamEstimate:
-    """Cyclic ML estimate of (mean, variances) under the target hypothesis."""
-    x = _check_burst(burst)
-    s2 = np.asarray(sigma2_init, dtype=float)
-    if s2.shape != (burst.k,) or not np.all(np.isfinite(s2)):
-        raise ValueError("sigma2_init must be a finite (K,) vector")
-    if np.any(s2 < cfg.c0):
-        raise ValueError("sigma2_init must respect the c0 floor")
-    m, s2_out, trace, iters = cyclic_ml_batch(x[None], s2[None], cfg.c0, cfg.n_co1, cfg.eps)
-    return ParamEstimate(m[0], s2_out[0], _trace_list(trace[0, : iters[0]], 1))
-
-
-def em_mean_step(inv: InvariantBurst, m: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """One EM update of the mean from directions, variances fixed."""
-    z = _check_inv(inv)
-    m = np.asarray(m, dtype=float)
-    s2 = np.asarray(sigma2, dtype=float)
-    if m.shape != (2,) or not np.all(np.isfinite(m)):
-        raise ValueError("m must be a finite 2-vector")
-    if s2.shape != (inv.k,) or np.any(s2 <= 0):
-        raise ValueError("sigma2 must be a positive (K,) vector")
-    return em_mean_batch(z[None], m[None], s2[None], 1, 0.0)[0][0]
-
-
-def em_sigma_step(inv: InvariantBurst, m: np.ndarray, sigma2: np.ndarray, c0: float) -> np.ndarray:
-    """One floored EM update of the variances from directions, mean fixed."""
-    z = _check_inv(inv)
-    m = np.asarray(m, dtype=float)
-    s2 = np.asarray(sigma2, dtype=float)
-    if m.shape != (2,) or not np.all(np.isfinite(m)):
-        raise ValueError("m must be a finite 2-vector")
-    if s2.shape != (inv.k,) or np.any(s2 <= 0):
-        raise ValueError("sigma2 must be a positive (K,) vector")
-    if not (np.isfinite(c0) and c0 > 0):
-        raise ValueError("c0 must be finite and > 0")
-    return em_sigma_batch(z[None], m[None], s2[None], c0, 1, 0.0)[0][0]
-
-
-def cyclic_em(inv: InvariantBurst, cfg: EstimationConfig, m_init: np.ndarray, sigma2_init: np.ndarray) -> ParamEstimate:
-    """Doubly iterative direction-domain estimate of (mean, variances)."""
-    z = _check_inv(inv)
-    m0 = np.asarray(m_init, dtype=float)
-    s20 = np.asarray(sigma2_init, dtype=float)
-    if m0.shape != (2,) or not np.all(np.isfinite(m0)):
-        raise ValueError("m_init must be a finite 2-vector")
-    if s20.shape != (inv.k,) or not np.all(np.isfinite(s20)):
-        raise ValueError("sigma2_init must be a finite (K,) vector")
-    if np.any(s20 < cfg.c0):
-        raise ValueError("sigma2_init must respect the c0 floor")
-    m, s2, trace, iters = cyclic_em_batch(
-        z[None], m0[None], s20[None], cfg.c0,
-        cfg.n_co2, cfg.n_em_m, cfg.n_em_sigma, cfg.eps1, cfg.eps2, cfg.eps3,
-    )
-    return ParamEstimate(m[0], s2[0], _trace_list(trace[0, : iters[0] + 1], 0))

@@ -42,13 +42,10 @@ __all__ = [
     "BLOCK_SIZE",
     "CalibratedThreshold",
     "CurvePoint",
-    "calibrate_threshold",
     "calibrate_thresholds",
     "convergence_trace",
     "curve_point",
-    "estimate_pfa",
     "exceedance_curves",
-    "pd_curve",
     "pd_curves",
     "pfa_sweep",
     "sample_statistics",
@@ -171,8 +168,6 @@ def sample_statistics(
         raise ValueError("trials must be positive")
     if workers < 1:
         raise ValueError("workers must be positive")
-    if not isinstance(hypothesis, Hypothesis):
-        raise ValueError("hypothesis must be a Hypothesis value")
     starts = list(range(0, trials, BLOCK_SIZE))
     blocks = [
         (tuple(kinds), cfg, scen, hypothesis, seed, start, min(BLOCK_SIZE, trials - start))
@@ -240,19 +235,6 @@ def calibrate_thresholds(
     }
 
 
-def calibrate_threshold(
-    detector: DetectorKind,
-    cfg: EstimationConfig | None,
-    scen: ScenarioConfig,
-    nominal_pfa: float,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> CalibratedThreshold:
-    """Set a detector's threshold to the empirical null quantile."""
-    return calibrate_thresholds([detector], cfg, scen, nominal_pfa, trials, seed, workers)[detector]
-
-
 def _h0_abscissa(scen: ScenarioConfig) -> float:
     return float(scen.delta if scen.delta is not None else scen.texture_shape)
 
@@ -262,7 +244,8 @@ def exceedance_curves(kinds, thresholds: dict, samples) -> dict:
 
     `samples` may be a generator, so only one point's statistics need be
     held at a time.  A threshold is one CalibratedThreshold, or a sequence
-    holding one per point.  Returns {kind: [CurvePoint, ...]}.
+    holding one per point.  A statistic counts when it strictly exceeds its
+    threshold, so a tie is no detection.  Returns {kind: [CurvePoint, ...]}.
     """
     curves = {kind: [] for kind in kinds}
     for i, (abscissa, stats) in enumerate(samples):
@@ -284,22 +267,6 @@ def _exceedance_curves(kinds, cfg, thresholds: dict, points, hypothesis, trials,
         for abscissa, scen in points
     )
     return exceedance_curves(kinds, thresholds, samples)
-
-
-def estimate_pfa(
-    detector: DetectorKind,
-    cfg: EstimationConfig | None,
-    scen_mismatched: ScenarioConfig,
-    threshold: CalibratedThreshold,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> CurvePoint:
-    """Estimated false-alarm rate of a calibrated detector at one scenario."""
-    if threshold.detector is not detector:
-        raise ValueError("threshold was calibrated for a different detector")
-    curves = pfa_sweep([detector], cfg, {detector: threshold}, [scen_mismatched], trials, seed, workers)
-    return curves[detector][0]
 
 
 def pfa_sweep(
@@ -324,32 +291,6 @@ def pfa_sweep(
             raise ValueError(f"missing threshold for {kind.value}")
     points = [(_h0_abscissa(scen), scen) for scen in scens]
     return _exceedance_curves(kinds, cfg, thresholds, points, Hypothesis.H0, trials, seed, workers)
-
-
-def pd_curve(
-    detector: DetectorKind,
-    cfg: EstimationConfig | None,
-    scen: ScenarioConfig,
-    threshold: CalibratedThreshold,
-    snr_grid,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-) -> list:
-    """Detection probability along an SNR grid, one fixed threshold.
-
-    The clairvoyant detector's null distribution moves with the target
-    signature, so it needs a per-SNR threshold; use `pd_curves` for it.
-    """
-    if detector is DetectorKind.CD:
-        raise ValueError("cd needs per-SNR thresholds; use pd_curves")
-    if threshold.detector is not detector:
-        raise ValueError("threshold was calibrated for a different detector")
-    curves = _exceedance_curves(
-        [detector], cfg, {detector: threshold}, _snr_points(scen, snr_grid),
-        Hypothesis.H1, trials, seed, workers,
-    )
-    return curves[detector]
 
 
 def _snr_points(scen: ScenarioConfig, snr_grid) -> list:

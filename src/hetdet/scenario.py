@@ -1,12 +1,13 @@
-"""Burst containers, synthetic interference scenarios, and recorded-series I/O.
+"""Synthetic interference scenarios, burst generation, and recorded-series I/O.
 
-A burst is K complex pulses stored as (K, 2) in-phase/quadrature pairs.  Two
-synthetic interference models are provided: per-sample variances drawn as
-delta*U(0,1) + sigma_n2 (uniform heterogeneity) and unit-mean Gamma textures
-scaling a common noise power (compound Gaussian).  Under the target hypothesis
-a constant mean of squared norm sigma_n2*10^(snr_db/10) is added to every
-sample; generators draw identically under both hypotheses so paired runs share
-their noise realizations.
+A burst is K complex pulses stored as (K, 2) in-phase/quadrature pairs, and
+B bursts are stacked as one (B, K, 2) array.  Two synthetic interference
+models are provided: per-sample variances drawn as delta*U(0,1) + sigma_n2
+(uniform heterogeneity) and unit-mean Gamma textures scaling a common noise
+power (compound Gaussian).  Under the target hypothesis a constant mean of
+squared norm sigma_n2*10^(snr_db/10) is added to every sample; `gen_block`
+draws identically under both hypotheses so paired runs share their noise
+realizations.
 """
 
 from __future__ import annotations
@@ -22,31 +23,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .numerics import _pair_sum, _per_plane, _sq_norm
 
 __all__ = [
-    "Burst",
-    "GroundTruth",
     "Hypothesis",
-    "InvariantBurst",
     "RecordedSeries",
     "ScenarioConfig",
+    "directions",
     "gen_block",
-    "gen_compound_gaussian",
-    "gen_uniform_het",
     "ingest_recorded",
     "pulse_powers",
     "sliding_bursts",
-    "to_invariant",
     "trial_rng",
 ]
-
-
-def _frozen_array(value, shape_tail=None, name="array") -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if shape_tail is not None and arr.shape[len(arr.shape) - len(shape_tail):] != shape_tail:
-        raise ValueError(f"{name} must end with shape {shape_tail}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.flags.writeable = False
-    return arr
 
 
 class Hypothesis(enum.Enum):
@@ -56,54 +42,13 @@ class Hypothesis(enum.Enum):
     H1 = "h1"
 
 
-@dataclass(frozen=True)
-class Burst:
-    """Immutable container of K complex samples as (K, 2) real pairs."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 1:
-            raise ValueError("samples must have shape (K, 2) with K >= 1")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def k(self) -> int:
-        return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
-class InvariantBurst:
-    """Unit directions of a burst together with the discarded norms."""
-
-    directions: np.ndarray
-    norms: np.ndarray
-
-    def __post_init__(self):
-        z = np.array(self.directions, dtype=float)
-        n = np.array(self.norms, dtype=float)
-        if z.ndim != 2 or z.shape[1] != 2 or n.shape != (z.shape[0],):
-            raise ValueError("directions must be (K, 2) with matching norms (K,)")
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(n))):
-            raise ValueError("directions and norms must be finite")
-        if np.any(n <= 0.0):
-            raise ValueError("norms must be positive")
-        z.flags.writeable = False
-        n.flags.writeable = False
-        object.__setattr__(self, "directions", z)
-        object.__setattr__(self, "norms", n)
-
-    @property
-    def k(self) -> int:
-        return self.directions.shape[0]
-
-
 def directions(x: np.ndarray):
-    """Unit directions and norms of the (..., 2) sample pairs in x."""
+    """Unit directions and norms of the (..., 2) sample pairs in x.
+
+    The directions are the maximal invariant under positive per-sample
+    scalings; any statistic computed from them alone is unaffected by
+    arbitrary power heterogeneity.
+    """
     return _directions(x, _sq_norm(x))
 
 
@@ -113,39 +58,6 @@ def _directions(x: np.ndarray, sq_norms: np.ndarray):
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero-norm sample")
     return _per_plane(np.divide, x, norms), norms
-
-
-def to_invariant(burst: Burst) -> InvariantBurst:
-    """Project a burst onto per-sample unit directions.
-
-    The directions are the maximal invariant under positive per-sample
-    scalings; any statistic computed from them alone is unaffected by
-    arbitrary power heterogeneity.
-    """
-    z, norms = directions(burst.samples)
-    return InvariantBurst(directions=z, norms=norms)
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Realized generation parameters attached to a synthetic burst.
-
-    `mean` is the mean actually present in the samples (zero under the null);
-    `target_mean` is the configured target signature regardless of hypothesis,
-    which is what a clairvoyant statistic must be evaluated with.
-    """
-
-    mean: np.ndarray
-    target_mean: np.ndarray
-    sigma2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", _frozen_array(self.mean, (2,), "mean"))
-        object.__setattr__(self, "target_mean", _frozen_array(self.target_mean, (2,), "target_mean"))
-        s2 = _frozen_array(self.sigma2, None, "sigma2")
-        if s2.ndim != 1 or np.any(s2 <= 0):
-            raise ValueError("sigma2 must be a positive vector")
-        object.__setattr__(self, "sigma2", s2)
 
 
 @dataclass(frozen=True)
@@ -314,32 +226,6 @@ def _bursts(cfg: ScenarioConfig, hypothesis: Hypothesis, u: np.ndarray, g: np.nd
     return x, sigma2
 
 
-def _generate(cfg, hypothesis, rng, model):
-    if model == "uniform" and cfg.delta is None:
-        raise ValueError("scenario does not carry a delta parameter")
-    if model == "compound" and cfg.texture_shape is None:
-        raise ValueError("scenario does not carry a texture_shape parameter")
-    if not isinstance(hypothesis, Hypothesis):
-        raise ValueError("hypothesis must be a Hypothesis value")
-    u = np.empty((1, cfg.k))
-    g = np.empty((1, cfg.k, 2))
-    _fill_draws(cfg, rng, u[0], g[0])
-    x, sigma2 = _bursts(cfg, hypothesis, u, g)
-    target = cfg.target_mean
-    mean = target if hypothesis is Hypothesis.H1 else np.zeros(2)
-    return Burst(x[0]), GroundTruth(mean=mean, target_mean=target, sigma2=sigma2[0])
-
-
-def gen_uniform_het(cfg: ScenarioConfig, hypothesis: Hypothesis, rng: np.random.Generator):
-    """Draw one burst under uniform variance heterogeneity, with its ground truth."""
-    return _generate(cfg, hypothesis, rng, "uniform")
-
-
-def gen_compound_gaussian(cfg: ScenarioConfig, hypothesis: Hypothesis, rng: np.random.Generator):
-    """Draw one burst under Gamma-texture compound-Gaussian interference."""
-    return _generate(cfg, hypothesis, rng, "compound")
-
-
 def gen_block(cfg: ScenarioConfig, hypothesis: Hypothesis, seed: int, start: int, count: int):
     """Raw arrays for trials start..start+count-1: samples (B, K, 2), variances (B, K).
 
@@ -348,6 +234,8 @@ def gen_block(cfg: ScenarioConfig, hypothesis: Hypothesis, seed: int, start: int
     streams' PCG64 states come from one vectorized SeedSequence hash per block
     and are loaded in turn into a single generator.
     """
+    if not isinstance(hypothesis, Hypothesis):
+        raise ValueError("hypothesis must be a Hypothesis value")
     # Rejects what trial_rng would reject; a seed of None draws fresh entropy.
     seed = operator.index(np.random.SeedSequence(seed).entropy)
     if operator.index(start) < 0:

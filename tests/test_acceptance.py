@@ -34,14 +34,13 @@ from hetdet.montecarlo import (
     pfa_sweep,
 )
 from hetdet.scenario import (
-    Burst,
     Hypothesis,
     ScenarioConfig,
+    directions,
     gen_block,
     ingest_recorded,
     pulse_powers,
     sliding_bursts,
-    to_invariant,
 )
 from dataclasses import replace
 
@@ -122,10 +121,7 @@ def test_02_direction_statistic_scale_invariance():
     rng = np.random.default_rng(703)
     scales = np.exp2(rng.integers(-8, 9, size=x.shape[:2]).astype(float))[..., None]
     scaled = x * scales
-    dirs_equal = all(
-        np.array_equal(to_invariant(Burst(a)).directions, to_invariant(Burst(b)).directions)
-        for a, b in zip(x, scaled)
-    )
+    dirs_equal = np.array_equal(directions(x)[0], directions(scaled)[0])
     stat = statistics_batch(x, [D.AGD], CFG)[D.AGD]
     stat_scaled = statistics_batch(scaled, [D.AGD], CFG)[D.AGD]
     bit_equal = np.array_equal(stat, stat_scaled)

@@ -5,6 +5,7 @@ and checks flag/config-file precedence, artifact contents, determinism of
 written CSV bytes, and the exit-code contract (0 ok, 2 config, 3 runtime).
 """
 
+import hashlib
 import json
 import os
 
@@ -128,6 +129,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ground truth"):
             parse_config(["cfar-sweep", "--recorded", FIXTURE, "--detectors", "cd",
                           "--out", out])
+
+    @pytest.mark.parametrize("file_cfg, flags", [({}, ["--bins", "0,0"]), ({"bins": [2, 1, 2]}, [])])
+    def test_duplicate_recorded_bins_rejected(self, tmp_path, capsys, file_cfg, flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        args = ["cfar-sweep", "--config", str(path), "--recorded", FIXTURE, "--detectors", "ed",
+                *flags, "--out", str(tmp_path / "s.csv")]
+        with pytest.raises(ConfigError, match="duplicate range bins"):
+            parse_config(args)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: duplicate range bins")
 
     def test_calibration_floor_enforced(self, tmp_path):
         out = str(tmp_path / "c.csv")
@@ -424,3 +436,57 @@ class TestRecordedSweep:
         rows = _lines(out)
         assert [row.split(",")[1] for row in rows[1:]] == ["0.0", "1.0", "2.0"]
         assert all(int(row.split(",")[5]) == 8 for row in rows[1:])
+
+
+# Small runs whose CSV bytes are pinned: a refactor that claims to change no
+# output must leave every hash alone.  Manifests carry wall_time_s, so only
+# the CSVs are hashed.
+PINNED_ARTIFACTS = {
+    "cfar-sweep-delta-grid": (
+        ["cfar-sweep", "--detectors", "gd-he,c-agd,ed,chd,ca-chd", "--delta-grid", "0,5,20",
+         "--k", "8", "--pfa", "0.1", "--cal-trials", "1000", "--trials", "300", "--seed", "4",
+         "--workers", "1"],
+        "4d72a89f4d8ff042b51af7106a42307158edbc159083d4966784f817a976b97a",
+    ),
+    "pd-curve-adaptive-cd": (
+        ["pd-curve", "--detectors", "agd,c-gd-he,cd,ed", "--delta", "4", "--k", "8",
+         "--snr-grid", "0,6", "--pfa", "0.1", "--cal-trials", "1000", "--trials", "200",
+         "--seed", "5", "--workers", "1"],
+        "b0e0ca94c659208791375035089d4525a208e1ed14dfc3dd1427d63ef8a66d5e",
+    ),
+    "convergence-alg1": (
+        ["convergence", "--algorithm", "alg1", "--delta", "5", "--k", "8", "--trials", "100"],
+        "88ec091c7b015e14423ebe469a5722e60995a76e3166c326a860fc06c27b09de",
+    ),
+    "convergence-em-m": (
+        ["convergence", "--algorithm", "em-m", "--delta", "5", "--k", "8", "--trials", "100"],
+        "e7b4a6735be11eca61c93c21ca1a6563b3d92798c8418e95c2df0f752bfae153",
+    ),
+    "convergence-em-sigma": (
+        ["convergence", "--algorithm", "em-sigma", "--delta", "5", "--k", "8", "--trials", "100"],
+        "4d2be230871ec9fbbd8edb00080e2258591e4cddf08baf0beedc7b4995ed6ff1",
+    ),
+    "convergence-cyclic-em": (
+        ["convergence", "--algorithm", "cyclic-em", "--delta", "5", "--k", "8", "--trials", "100"],
+        "5c9c7c668c891c3b6c5958f6b6af039704cfca048772b2b401840774fcf32329",
+    ),
+    "power-trace": (
+        ["power-trace", "--recorded", FIXTURE],
+        "433475d359e3f1dddedc1e9b7ef23afdc054ed68b1d327f2d67c4344e8bcdb9a",
+    ),
+    "cfar-sweep-recorded": (
+        ["cfar-sweep", "--detectors", "gd-he,agd,c-gd-he,c-agd,ed,chd,ca-chd",
+         "--recorded", FIXTURE, "--k", "8", "--stride", "4", "--pfa", "0.1",
+         "--cal-trials", "1000", "--workers", "1"],
+        "9f445a0c65215505716d3e84576dda282e56cdff31b2762fbf5836eca95b31bc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_pinned_artifact_bytes(tmp_path, capsys, name):
+    args, digest = PINNED_ARTIFACTS[name]
+    out = str(tmp_path / "artifact.csv")
+    assert main([*args, "--out", out]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(_read_bytes(out)).hexdigest() == digest

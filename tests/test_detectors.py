@@ -1,4 +1,4 @@
-"""Tests for the eight decision statistics and the threshold convention."""
+"""Tests for the eight decision statistics, computed through `statistics_batch`."""
 
 import numpy as np
 import pytest
@@ -6,33 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetdet import estimation
-from hetdet.detectors import (
-    Decision,
-    DetectorKind,
-    NonFiniteStatistic,
-    agd,
-    angular_statistic,
-    c_agd,
-    c_gd_he,
-    ca_chd,
-    cd,
-    chd,
-    decide,
-    ed,
-    gd_he,
-    statistics_batch,
-)
+from hetdet.detectors import DetectorKind, NonFiniteStatistic, angular_statistic, statistics_batch
 from hetdet.estimation import EstimationConfig
-from hetdet.scenario import (
-    Burst,
-    Hypothesis,
-    ScenarioConfig,
-    gen_block,
-    gen_uniform_het,
-    trial_rng,
-)
+from hetdet.scenario import Hypothesis, ScenarioConfig, gen_block
 
 ALL_KINDS = list(DetectorKind)
+
+
+def _one(kind, samples, cfg=None, true_mean=None, true_sigma2=None):
+    """One burst's (K, 2) statistic, as a stack of one."""
+    values = statistics_batch(np.asarray(samples)[None], [kind], cfg, true_mean, true_sigma2)
+    return values[kind][0]
+
+
+def _trial(cfg, seed):
+    """Trial 0 of `seed` under H1, as a (K, 2) burst."""
+    return gen_block(cfg, Hypothesis.H1, seed, 0, 1)[0][0]
 
 
 class TestDetectorKind:
@@ -47,47 +36,34 @@ class TestDetectorKind:
         assert not any(k.requires_truth for k in ALL_KINDS if k is not DetectorKind.CD)
 
 
-class TestDecision:
-    def test_strict_threshold(self):
-        assert decide(1.5, 1.0).declared
-        assert not decide(1.0, 1.0).declared
-        assert not decide(0.5, 1.0).declared
-
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            Decision(statistic=2.0, threshold=1.0, declared=False)
-        with pytest.raises(ValueError):
-            Decision(statistic=np.nan, threshold=1.0, declared=False)
-
-
 class TestReferenceStatistics:
     def test_identical_sample_closed_forms(self):
         v = np.array([3.0, 4.0])
-        burst = Burst(np.tile(v, (4, 1)))
-        assert ed(burst) == 4 * 25.0
-        assert chd(burst) == 16 * 25.0
-        assert ca_chd(burst) == 4.0
+        burst = np.tile(v, (4, 1))
+        assert _one(DetectorKind.ED, burst) == 4 * 25.0
+        assert _one(DetectorKind.CHD, burst) == 16 * 25.0
+        assert _one(DetectorKind.CA_CHD, burst) == 4.0
 
     def test_ca_chd_bounds_and_scale_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            burst = Burst(rng.standard_normal((8, 2)))
-            val = ca_chd(burst)
+            burst = rng.standard_normal((8, 2))
+            val = _one(DetectorKind.CA_CHD, burst)
             assert 0.0 <= val <= 8.0
-            assert np.isclose(ca_chd(Burst(3.7 * burst.samples)), val, rtol=1e-12)
+            assert np.isclose(_one(DetectorKind.CA_CHD, 3.7 * burst), val, rtol=1e-12)
 
     def test_ca_chd_rejects_zero_burst(self):
         with pytest.raises(ValueError, match="all-zero"):
-            ca_chd(Burst(np.zeros((4, 2))))
+            _one(DetectorKind.CA_CHD, np.zeros((4, 2)))
 
     def test_cd_substitutions(self):
         rng = np.random.default_rng(1)
         m = np.array([1.0, -2.0])
         s2 = rng.uniform(0.5, 3.0, size=6)
-        aligned = Burst(np.tile(m, (6, 1)))
-        assert np.isclose(cd(aligned, m, s2), np.sum(m @ m / s2), rtol=1e-12)
-        burst = Burst(rng.standard_normal((6, 2)))
-        assert cd(burst, np.zeros(2), s2) == 0.0
+        aligned = np.tile(m, (6, 1))
+        assert np.isclose(_one(DetectorKind.CD, aligned, None, m, s2), np.sum(m @ m / s2), rtol=1e-12)
+        burst = rng.standard_normal((6, 2))
+        assert _one(DetectorKind.CD, burst, None, np.zeros(2), s2) == 0.0
 
     def test_cd_algebraic_identity(self):
         rng = np.random.default_rng(2)
@@ -96,20 +72,34 @@ class TestReferenceStatistics:
             m = rng.standard_normal(2)
             s2 = rng.uniform(0.5, 3.0, size=6)
             expanded = 2.0 * np.sum(x @ m / s2) - np.sum(m @ m / s2)
-            assert np.isclose(cd(Burst(x), m, s2), expanded, rtol=1e-12)
+            assert np.isclose(_one(DetectorKind.CD, x, None, m, s2), expanded, rtol=1e-12)
 
     def test_cd_length_mismatch(self):
         with pytest.raises(ValueError):
-            cd(Burst(np.ones((4, 2))), np.zeros(2), np.ones(5))
+            _one(DetectorKind.CD, np.ones((4, 2)), None, np.zeros(2), np.ones(5))
+
+    @pytest.mark.parametrize(
+        "true_mean, true_sigma2, message",
+        [([np.nan, 0.0], np.ones(4), "true_mean"), ([0.0, np.inf], np.ones(4), "true_mean"),
+         ([1.0, 0.0], [1.0, np.nan, 1.0, 1.0], "true_sigma2"),
+         ([1.0, 0.0], [1.0, np.inf, 1.0, 1.0], "true_sigma2"),
+         ([1.0, 0.0], np.ones((3, 4)), r"true_sigma2 must have shape \(K,\) or \(B, K\), got \(3, 4\)"),
+         ([1.0, 0.0], np.ones((2, 1, 4)), "true_sigma2"), ([1.0, 0.0], 1.0, "true_sigma2")],
+        ids=["nan-mean", "inf-mean", "nan-sigma2", "inf-sigma2", "3-rows-for-2-bursts", "3-axes",
+             "scalar"],
+    )
+    def test_cd_side_information_checked(self, true_mean, true_sigma2, message):
+        with pytest.raises(ValueError, match=message):
+            statistics_batch(np.ones((2, 4, 2)), [DetectorKind.CD], None, true_mean, true_sigma2)
 
 
 class TestAdaptiveStatistics:
     def test_gd_he_identical_sample_closed_form(self):
         v = np.array([3.0, 4.0])
-        burst = Burst(np.tile(v, (4, 1)))
+        burst = np.tile(v, (4, 1))
         cfg = EstimationConfig(c0=1.0)
         expected = 4 * (np.log(12.5) + 1.0)
-        assert np.isclose(gd_he(burst, cfg), expected, rtol=1e-12)
+        assert np.isclose(_one(DetectorKind.GD_HE, burst, cfg), expected, rtol=1e-12)
 
     def test_gd_he_nonnegative_when_floor_inactive(self):
         scfg = ScenarioConfig(k=16, delta=10.0)
@@ -141,25 +131,29 @@ class TestAdaptiveStatistics:
 
     def test_agd_bitwise_scale_invariance(self):
         scfg = ScenarioConfig(k=16, delta=10.0, snr_db=10.0)
-        burst, _ = gen_uniform_het(scfg, Hypothesis.H1, trial_rng(63, 0))
+        burst = _trial(scfg, 63)
         cfg = EstimationConfig()
         scales = 2.0 ** np.arange(-7, 9).astype(float)
-        scaled = Burst(scales[:, None] * burst.samples)
-        assert agd(scaled, cfg) == agd(burst, cfg)
+        scaled = scales[:, None] * burst
+        assert _one(DetectorKind.AGD, scaled, cfg) == _one(DetectorKind.AGD, burst, cfg)
 
     def test_agd_general_scale_invariance(self):
         scfg = ScenarioConfig(k=16, delta=10.0, snr_db=10.0)
-        burst, _ = gen_uniform_het(scfg, Hypothesis.H1, trial_rng(64, 0))
+        burst = _trial(scfg, 64)
         cfg = EstimationConfig()
         rng = np.random.default_rng(64)
-        scaled = Burst(rng.uniform(0.1, 10.0, size=16)[:, None] * burst.samples)
-        assert np.isclose(agd(scaled, cfg), agd(burst, cfg), rtol=1e-9)
+        scaled = rng.uniform(0.1, 10.0, size=16)[:, None] * burst
+        assert np.isclose(
+            _one(DetectorKind.AGD, scaled, cfg), _one(DetectorKind.AGD, burst, cfg), rtol=1e-9
+        )
 
     def test_c_agd_not_scale_free(self):
         scfg = ScenarioConfig(k=16, delta=10.0, snr_db=10.0)
-        burst, _ = gen_uniform_het(scfg, Hypothesis.H1, trial_rng(65, 0))
+        burst = _trial(scfg, 65)
         cfg = EstimationConfig()
-        assert not np.isclose(c_agd(Burst(10.0 * burst.samples), cfg), c_agd(burst, cfg), rtol=1e-3)
+        assert not np.isclose(
+            _one(DetectorKind.C_AGD, 10.0 * burst, cfg), _one(DetectorKind.C_AGD, burst, cfg), rtol=1e-3
+        )
 
     def test_c_gd_he_never_exceeds_gd_he(self):
         scfg = ScenarioConfig(k=16, delta=10.0)
@@ -178,22 +172,15 @@ class TestAdaptiveStatistics:
 
 
 class TestStatisticsBatch:
-    def test_matches_per_burst_wrappers(self):
+    def test_rows_match_one_burst_stacks(self):
         scfg = ScenarioConfig(k=16, delta=10.0, snr_db=12.0)
         cfg = EstimationConfig()
         x, s2 = gen_block(scfg, Hypothesis.H1, seed=70, start=0, count=4)
         m = scfg.target_mean
         batch = statistics_batch(x, ALL_KINDS, cfg, true_mean=m, true_sigma2=s2)
         for i in range(4):
-            burst = Burst(x[i])
-            assert batch[DetectorKind.GD_HE][i] == gd_he(burst, cfg)
-            assert batch[DetectorKind.AGD][i] == agd(burst, cfg)
-            assert batch[DetectorKind.C_GD_HE][i] == c_gd_he(burst, cfg)
-            assert batch[DetectorKind.C_AGD][i] == c_agd(burst, cfg)
-            assert batch[DetectorKind.CD][i] == cd(burst, m, s2[i])
-            assert batch[DetectorKind.ED][i] == ed(burst)
-            assert batch[DetectorKind.CHD][i] == chd(burst)
-            assert batch[DetectorKind.CA_CHD][i] == ca_chd(burst)
+            for kind in ALL_KINDS:
+                assert batch[kind][i] == _one(kind, x[i], cfg, m, s2[i]), kind
 
     def test_sharing_preserves_values(self):
         scfg = ScenarioConfig(k=16, delta=10.0)
@@ -222,6 +209,10 @@ class TestStatisticsBatch:
             statistics_batch(x, [DetectorKind.CD], cfg)
         with pytest.raises(ValueError, match="K >= 2"):
             statistics_batch(np.ones((2, 1, 2)), [DetectorKind.GD_HE], cfg)
+        with pytest.raises(ValueError, match="shape"):
+            statistics_batch(np.ones((2, 4, 3)), [DetectorKind.ED], cfg)
+        with pytest.raises(ValueError, match="finite"):
+            statistics_batch(np.array([[[1.0, np.inf]]]), [DetectorKind.ED], cfg)
 
     def test_memory_layout_does_not_change_bits(self):
         scfg = ScenarioConfig(k=16, delta=10.0, snr_db=9.0)

@@ -15,12 +15,10 @@ from hetdet.montecarlo import (
     CalibratedThreshold,
     CurvePoint,
     _rank_threshold,
-    calibrate_threshold,
     calibrate_thresholds,
     convergence_trace,
     curve_point,
-    estimate_pfa,
-    pd_curve,
+    exceedance_curves,
     pd_curves,
     pfa_sweep,
     sample_statistics,
@@ -35,6 +33,25 @@ from hetdet.scenario import Hypothesis, ScenarioConfig, gen_block
 
 WHITE = ScenarioConfig(k=16, delta=0.0)
 EST = EstimationConfig()
+
+
+def _ed_threshold(nominal_pfa, trials, seed):
+    thresholds = calibrate_thresholds([DetectorKind.ED], None, WHITE, nominal_pfa, trials, seed)
+    return thresholds[DetectorKind.ED]
+
+
+def _ed_pfa(scen, threshold, trials, seed):
+    """One detector's Pfa at one scenario: a one-point pfa_sweep."""
+    curves = pfa_sweep([DetectorKind.ED], None, {DetectorKind.ED: threshold}, [scen], trials, seed)
+    return curves[DetectorKind.ED][0]
+
+
+def _ed_pd(snr_grid, cal_trials, trials, seed, cal_seed):
+    curves, _ = pd_curves(
+        [DetectorKind.ED], None, WHITE, snr_grid, nominal_pfa=0.05, cal_trials=cal_trials,
+        trials=trials, seed=seed, cal_seed=cal_seed,
+    )
+    return curves[DetectorKind.ED]
 
 
 class TestWilsonInterval:
@@ -80,6 +97,19 @@ class TestCurvePoint:
             CurvePoint(0.0, 0.5, 0.4, 0.6, 0)
 
 
+class TestExceedanceCurves:
+    def test_strict_threshold(self):
+        th = CalibratedThreshold(DetectorKind.ED, 1.0, 0.05, 100, 0, WHITE)
+        stats = {DetectorKind.ED: np.array([1.5, 1.0, 0.5])}
+        curves = exceedance_curves([DetectorKind.ED], {DetectorKind.ED: th}, [(0.0, stats)])
+        # Only 1.5 exceeds 1.0: a tie is no detection.
+        assert curves[DetectorKind.ED][0].estimate == 1 / 3
+        lower = CalibratedThreshold(DetectorKind.ED, 0.5, 0.05, 100, 0, WHITE)
+        per_point = {DetectorKind.ED: (th, lower)}
+        curves = exceedance_curves([DetectorKind.ED], per_point, [(0.0, stats), (1.0, stats)])
+        assert [pt.estimate for pt in curves[DetectorKind.ED]] == [1 / 3, 2 / 3]
+
+
 class TestThresholdRank:
     def test_rank_arithmetic(self):
         stats = np.arange(1.0, 101.0)
@@ -102,12 +132,12 @@ class TestThresholdRank:
 
 class TestCalibration:
     def test_energy_threshold_matches_chi_square_quantile(self):
-        th = calibrate_threshold(DetectorKind.ED, None, WHITE, 0.05, 4000, seed=3)
+        th = _ed_threshold(0.05, 4000, seed=3)
         analytic = sps.chi2.ppf(0.95, 2 * WHITE.k)
         assert abs(th.eta - analytic) / analytic < 0.05
 
     def test_provenance_recorded(self):
-        th = calibrate_threshold(DetectorKind.ED, None, WHITE, 0.05, 2000, seed=9)
+        th = _ed_threshold(0.05, 2000, seed=9)
         assert th.detector is DetectorKind.ED
         assert th.nominal_pfa == 0.05
         assert th.trials == 2000
@@ -116,13 +146,13 @@ class TestCalibration:
 
     def test_trials_floor_enforced(self):
         with pytest.raises(ValueError, match="ceil"):
-            calibrate_threshold(DetectorKind.ED, None, WHITE, 0.01, 2000, seed=0)
+            _ed_threshold(0.01, 2000, seed=0)
 
     def test_shared_calibration_matches_single(self):
         kinds = [DetectorKind.ED, DetectorKind.CHD]
         shared = calibrate_thresholds(kinds, None, WHITE, 0.05, 2000, seed=4)
         for kind in kinds:
-            alone = calibrate_threshold(kind, None, WHITE, 0.05, 2000, seed=4)
+            alone = calibrate_thresholds([kind], None, WHITE, 0.05, 2000, seed=4)[kind]
             assert shared[kind].eta == alone.eta
 
     def test_threshold_validation(self):
@@ -232,21 +262,16 @@ class TestSampleStatistics:
 
 class TestPfaEstimation:
     def test_matched_scenario_self_consistency(self):
-        th = calibrate_threshold(DetectorKind.ED, None, WHITE, 0.05, 4000, seed=11)
-        pt = estimate_pfa(DetectorKind.ED, None, WHITE, th, 4000, seed=12)
+        th = _ed_threshold(0.05, 4000, seed=11)
+        pt = _ed_pfa(WHITE, th, 4000, seed=12)
         assert pt.ci_low <= 0.05 <= pt.ci_high
         assert pt.abscissa == 0.0
 
     def test_abscissa_reports_heterogeneity_parameter(self):
-        th = calibrate_threshold(DetectorKind.ED, None, WHITE, 0.05, 2000, seed=13)
+        th = _ed_threshold(0.05, 2000, seed=13)
         scen_q = ScenarioConfig(k=16, texture_shape=0.5)
-        pt = estimate_pfa(DetectorKind.ED, None, scen_q, th, 500, seed=14)
+        pt = _ed_pfa(scen_q, th, 500, seed=14)
         assert pt.abscissa == 0.5
-
-    def test_detector_mismatch_rejected(self):
-        th = calibrate_threshold(DetectorKind.ED, None, WHITE, 0.05, 2000, seed=15)
-        with pytest.raises(ValueError, match="different detector"):
-            estimate_pfa(DetectorKind.CHD, None, WHITE, th, 500, seed=16)
 
     def test_sweep_shares_draws_and_orders_output(self):
         kinds = [DetectorKind.ED, DetectorKind.CHD]
@@ -255,7 +280,7 @@ class TestPfaEstimation:
         curves = pfa_sweep(kinds, None, ths, scens, 1000, seed=18)
         for kind in kinds:
             assert [pt.abscissa for pt in curves[kind]] == [0.0, 10.0, 20.0]
-            single = estimate_pfa(kind, None, scens[1], ths[kind], 1000, seed=18)
+            single = pfa_sweep([kind], None, ths, [scens[1]], 1000, seed=18)[kind][0]
             assert curves[kind][1].estimate == single.estimate
 
     def test_sweep_requires_all_thresholds(self):
@@ -266,28 +291,20 @@ class TestPfaEstimation:
 
 class TestPdCurves:
     def test_energy_detector_curve_increases(self):
-        th = calibrate_threshold(DetectorKind.ED, None, WHITE, 0.05, 2000, seed=21)
-        pts = pd_curve(DetectorKind.ED, None, WHITE, th, [-20.0, 0.0, 10.0], 1000, seed=22)
+        pts = _ed_pd([-20.0, 0.0, 10.0], 2000, 1000, seed=22, cal_seed=21)
         estimates = [pt.estimate for pt in pts]
         assert estimates[0] < estimates[1] < estimates[2]
         assert pts[-1].estimate > 0.99
 
     def test_vanishing_snr_recovers_pfa(self):
-        th = calibrate_threshold(DetectorKind.ED, None, WHITE, 0.05, 4000, seed=23)
-        pts = pd_curve(DetectorKind.ED, None, WHITE, th, [-np.inf], 4000, seed=24)
+        pts = _ed_pd([-np.inf], 4000, 4000, seed=24, cal_seed=23)
         assert pts[0].ci_low <= 0.05 <= pts[0].ci_high
 
-    def test_clairvoyant_rejected_without_per_snr_thresholds(self):
-        th = calibrate_threshold(DetectorKind.ED, None, WHITE, 0.05, 2000, seed=25)
-        with pytest.raises(ValueError, match="pd_curves"):
-            pd_curve(DetectorKind.CD, None, WHITE, th, [0.0], 100, seed=26)
-
     def test_grid_validation(self):
-        th = calibrate_threshold(DetectorKind.ED, None, WHITE, 0.05, 2000, seed=27)
         with pytest.raises(ValueError):
-            pd_curve(DetectorKind.ED, None, WHITE, th, [], 100, seed=28)
+            _ed_pd([], 2000, 100, seed=28, cal_seed=27)
         with pytest.raises(ValueError):
-            pd_curve(DetectorKind.ED, None, WHITE, th, [np.nan], 100, seed=28)
+            _ed_pd([np.nan], 2000, 100, seed=28, cal_seed=27)
 
     def test_multi_detector_engine(self):
         scen = ScenarioConfig(k=16, delta=10.0)

@@ -1,4 +1,4 @@
-"""Tests for burst containers, synthetic generators, and recorded-series I/O."""
+"""Tests for pulse directions, synthetic generators, and recorded-series I/O."""
 
 import numpy as np
 import pytest
@@ -6,20 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetdet.scenario import (
-    Burst,
-    GroundTruth,
     Hypothesis,
-    InvariantBurst,
     RecordedSeries,
     ScenarioConfig,
+    directions,
     gen_block,
-    gen_compound_gaussian,
-    gen_uniform_het,
     ingest_recorded,
     pulse_powers,
     sliding_bursts,
     _stream_states,
-    to_invariant,
     trial_rng,
 )
 
@@ -64,50 +59,25 @@ class TestScenarioConfig:
         assert np.array_equal(cfg.target_mean, np.zeros(2))
 
 
-class TestBurstContainers:
-    def test_burst_shape_and_immutability(self):
-        b = Burst(np.ones((4, 2)))
-        assert b.k == 4
-        assert not b.samples.flags.writeable
-        with pytest.raises(ValueError):
-            Burst(np.ones((4, 3)))
-        with pytest.raises(ValueError):
-            Burst(np.array([[1.0, np.inf]]))
-
-    def test_invariant_burst_validation(self):
-        z = np.tile([1.0, 0.0], (3, 1))
-        InvariantBurst(directions=z, norms=np.ones(3))
-        with pytest.raises(ValueError):
-            InvariantBurst(directions=z, norms=np.array([1.0, 0.0, 1.0]))
-        with pytest.raises(ValueError):
-            InvariantBurst(directions=z, norms=np.ones(2))
-
-    def test_to_invariant_reconstruction(self):
+class TestDirections:
+    def test_reconstruction(self):
         rng = np.random.default_rng(3)
-        b = Burst(rng.standard_normal((8, 2)))
-        inv = to_invariant(b)
-        np.testing.assert_allclose(np.sum(inv.directions**2, axis=1), 1.0, rtol=1e-14)
-        np.testing.assert_allclose(inv.directions * inv.norms[:, None], b.samples, rtol=1e-14)
+        x = rng.standard_normal((8, 2))
+        z, norms = directions(x)
+        np.testing.assert_allclose(np.sum(z**2, axis=1), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(z * norms[:, None], x, rtol=1e-14)
 
-    def test_to_invariant_scale_invariance(self):
+    def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((8, 2))
         scales = rng.uniform(0.1, 10.0, size=8)
-        inv_a = to_invariant(Burst(x))
-        inv_b = to_invariant(Burst(scales[:, None] * x))
-        np.testing.assert_allclose(inv_a.directions, inv_b.directions, rtol=1e-13)
+        np.testing.assert_allclose(directions(x)[0], directions(scales[:, None] * x)[0], rtol=1e-13)
 
-    def test_to_invariant_rejects_zero_sample(self):
+    def test_rejects_zero_sample(self):
         x = np.ones((3, 2))
         x[1] = 0.0
         with pytest.raises(ValueError, match="zero-norm"):
-            to_invariant(Burst(x))
-
-    def test_ground_truth_validation(self):
-        with pytest.raises(ValueError):
-            GroundTruth(mean=np.zeros(2), target_mean=np.zeros(2), sigma2=np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            GroundTruth(mean=np.zeros(3), target_mean=np.zeros(2), sigma2=np.ones(2))
+            directions(x)
 
 
 class TestTrialStreams:
@@ -124,9 +94,9 @@ class TestTrialStreams:
         cfg = ScenarioConfig(k=16, delta=10.0, snr_db=8.0)
         x, s2 = gen_block(cfg, Hypothesis.H1, seed=21, start=0, count=6)
         for trial in range(6):
-            burst, gt = gen_uniform_het(cfg, Hypothesis.H1, trial_rng(21, trial))
-            np.testing.assert_array_equal(x[trial], burst.samples)
-            np.testing.assert_array_equal(s2[trial], gt.sigma2)
+            x1, s21 = gen_block(cfg, Hypothesis.H1, seed=21, start=trial, count=1)
+            np.testing.assert_array_equal(x[trial], x1[0])
+            np.testing.assert_array_equal(s2[trial], s21[0])
 
     def test_block_partition_independence(self):
         cfg = ScenarioConfig(k=8, texture_shape=1.0)
@@ -206,24 +176,23 @@ def _assert_block_matches_trial_streams(cfg, hypothesis, seed, start, count):
 class TestUniformHeterogeneity:
     def test_variance_support_and_shapes(self):
         cfg = ScenarioConfig(k=16, delta=10.0, sigma_n2=2.0)
-        burst, gt = gen_uniform_het(cfg, Hypothesis.H0, trial_rng(1, 0))
-        assert burst.samples.shape == (16, 2)
-        assert np.all(gt.sigma2 >= 2.0)
-        assert np.all(gt.sigma2 <= 12.0)
-        assert np.array_equal(gt.mean, np.zeros(2))
-        np.testing.assert_array_equal(gt.target_mean, cfg.target_mean)
+        x, s2 = gen_block(cfg, Hypothesis.H0, 1, 0, 1)
+        assert x.shape == (1, 16, 2) and s2.shape == (1, 16)
+        assert np.all(s2 >= 2.0)
+        assert np.all(s2 <= 12.0)
 
     def test_h1_carries_target_mean(self):
         cfg = ScenarioConfig(k=16, delta=10.0, snr_db=10.0, target_phase=0.3)
-        _, gt = gen_uniform_het(cfg, Hypothesis.H1, trial_rng(1, 0))
-        np.testing.assert_array_equal(gt.mean, cfg.target_mean)
+        x1, _ = gen_block(cfg, Hypothesis.H1, 1, 0, 1)
+        x0, _ = gen_block(cfg, Hypothesis.H0, 1, 0, 1)
+        np.testing.assert_array_equal(x1, x0 + cfg.target_mean)
 
     def test_paired_hypotheses_share_noise(self):
         cfg = ScenarioConfig(k=16, delta=10.0, snr_db=12.0)
-        b1, gt1 = gen_uniform_het(cfg, Hypothesis.H1, trial_rng(7, 3))
-        b0, gt0 = gen_uniform_het(cfg, Hypothesis.H0, trial_rng(7, 3))
-        np.testing.assert_array_equal(gt1.sigma2, gt0.sigma2)
-        np.testing.assert_allclose(b1.samples - cfg.target_mean, b0.samples, atol=1e-12)
+        b1, s21 = gen_block(cfg, Hypothesis.H1, 7, 3, 1)
+        b0, s20 = gen_block(cfg, Hypothesis.H0, 7, 3, 1)
+        np.testing.assert_array_equal(s21, s20)
+        np.testing.assert_allclose(b1 - cfg.target_mean, b0, atol=1e-12)
 
     def test_mean_sample_power_matches_model(self):
         cfg = ScenarioConfig(k=16, delta=10.0, sigma_n2=1.0)
@@ -233,18 +202,14 @@ class TestUniformHeterogeneity:
 
     def test_zero_delta_is_homogeneous(self):
         cfg = ScenarioConfig(k=16, delta=0.0, sigma_n2=2.5)
-        _, gt = gen_uniform_het(cfg, Hypothesis.H0, trial_rng(0, 0))
-        np.testing.assert_array_equal(gt.sigma2, np.full(16, 2.5))
+        _, s2 = gen_block(cfg, Hypothesis.H0, 0, 0, 1)
+        np.testing.assert_array_equal(s2[0], np.full(16, 2.5))
 
-    def test_model_mismatch_rejected(self):
-        cfg = ScenarioConfig(k=16, texture_shape=1.0)
-        with pytest.raises(ValueError):
-            gen_uniform_het(cfg, Hypothesis.H0, trial_rng(0, 0))
-        cfg2 = ScenarioConfig(k=16, delta=1.0)
-        with pytest.raises(ValueError):
-            gen_compound_gaussian(cfg2, Hypothesis.H0, trial_rng(0, 0))
-        with pytest.raises(ValueError):
-            gen_uniform_het(cfg2, "h0", trial_rng(0, 0))
+    @pytest.mark.parametrize("hypothesis", ["h0", "h1", None])
+    def test_model_mismatch_rejected(self, hypothesis):
+        cfg = ScenarioConfig(k=16, delta=1.0)
+        with pytest.raises(ValueError, match="Hypothesis"):
+            gen_block(cfg, hypothesis, 0, 0, 2)
 
 
 class TestCompoundGaussian:
