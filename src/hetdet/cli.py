@@ -6,9 +6,10 @@ interference (synthetic grids or recorded data), `pd-curve` sweeps detection
 probability over SNR, `convergence` averages estimator likelihood changes,
 and `power-trace` exports per-pulse powers of a recorded series.
 
-Options may come from a JSON config file (`--config`); explicit flags
-override file values, and unknown file keys are rejected.  Progress goes to
-standard error; standard output carries only the paths of written artifacts.
+Options may come from a JSON config file (`--config`) whose keys are the
+subcommand's flag names with underscores; explicit flags override file
+values, and any other key is rejected.  Progress goes to standard error;
+standard output carries only the paths of written artifacts.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -39,13 +40,11 @@ from .montecarlo import (
     write_manifest,
     write_trace_csv,
 )
-from .scenario import ScenarioConfig, ingest_recorded, pulse_powers, sliding_bursts
+from .scenario import ScenarioConfig, _check_offset, ingest_recorded, pulse_powers, sliding_bursts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-_ALL_DETECTORS = tuple(k.value for k in DetectorKind)
 
 
 class ConfigError(Exception):
@@ -70,7 +69,6 @@ class RunConfig:
     cal_trials: int = 0
     cal_seed: int = 0
     algorithm: AlgorithmTag | None = None
-    snr_db: float = 0.0
     recorded: str | None = None
     bins: tuple | None = None
     bin_label: int | None = None
@@ -85,7 +83,6 @@ def _add_shared(sub, scenario=True, detectors=True, calibration=True):
     sub.add_argument("--seed", type=int, help="base seed (default 0)")
     sub.add_argument("--trials", type=int, help="Monte Carlo trials (default 10000)")
     sub.add_argument("--out", help="output artifact path")
-    sub.add_argument("--workers", type=int, help="worker processes (default: available CPUs)")
     if scenario:
         sub.add_argument("--k", type=int, help="pulses per burst (default 16)")
         sub.add_argument("--delta", type=float, help="uniform heterogeneity level")
@@ -100,6 +97,8 @@ def _add_shared(sub, scenario=True, detectors=True, calibration=True):
             help="use the magnitude-dependent EM initialization instead of the scale-free one",
         )
     if detectors:
+        # The commands that score detectors are the ones that open a process pool.
+        sub.add_argument("--workers", type=int, help="worker processes (default: available CPUs)")
         sub.add_argument("--detectors", help="comma list of detector tags (default: all)")
         sub.add_argument("--pfa", type=float, help="nominal false-alarm rate (default 0.01)")
     if calibration:
@@ -151,23 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SHARED_KEYS = {"seed", "trials", "out", "workers"}
-_SCENARIO_KEYS = {"k", "delta", "texture_shape", "sigma_n2", "c0", "target_phase", "paper_init"}
-_DETECTOR_KEYS = {"detectors", "pfa"}
-_CAL_KEYS = {"cal_trials", "cal_seed"}
-_RECORDED_KEYS = {"recorded", "offset", "offset_mode", "offset_seed"}
-
-_ALLOWED_KEYS = {
-    "calibrate": _SHARED_KEYS | _SCENARIO_KEYS | _DETECTOR_KEYS | {"snr_db"},
-    "cfar-sweep": _SHARED_KEYS | _SCENARIO_KEYS | _DETECTOR_KEYS | _CAL_KEYS | _RECORDED_KEYS
-    | {"delta_grid", "q_grid", "snr_db", "bins", "stride"},
-    "pd-curve": _SHARED_KEYS | _SCENARIO_KEYS | _DETECTOR_KEYS | _CAL_KEYS | {"snr_grid"},
-    "convergence": _SHARED_KEYS | _SCENARIO_KEYS | {"algorithm", "snr_db"},
-    "power-trace": {"out"} | _RECORDED_KEYS | {"bin_label"},
-}
-
-
-def _load_config_file(path: str, command: str) -> dict:
+def _load_config_file(path: str, command: str, allowed: set) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -177,7 +160,7 @@ def _load_config_file(path: str, command: str) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(data) - _ALLOWED_KEYS[command])
+    unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
     return data
@@ -230,9 +213,10 @@ def _parse_list(raw, key, kind) -> tuple:
         raise ConfigError(f"{key} must be a comma list of {noun}") from None
 
 
-def _parse_detectors(raw) -> tuple:
+def _parse_detectors(raw, recorded: bool) -> tuple:
+    """The requested detectors; by default every one the data can score."""
     if raw is None:
-        tokens = list(_ALL_DETECTORS)
+        tokens = [k.value for k in DetectorKind if not (recorded and k.requires_truth)]
     elif isinstance(raw, str):
         tokens = [part.strip() for part in raw.split(",") if part.strip()]
     else:
@@ -269,7 +253,6 @@ def _build_scenario(res: _Resolver, snr_db: float = 0.0) -> ScenarioConfig:
             sigma_n2=res.number("sigma_n2", 1.0, float),
             snr_db=snr_db,
             target_phase=res.number("target_phase", 0.0, float),
-            c0=res.number("c0", None, float),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -305,12 +288,10 @@ def _offset_fields(res: _Resolver) -> dict:
     """The recorded-sample offset settings, checked before any file is read."""
     offset = res.number("offset", 0.0, float)
     mode = str(res.get("offset_mode", "literal"))
-    if not np.isfinite(offset):
-        raise ConfigError("offset must be finite")
-    if mode not in ("literal", "noise"):
-        raise ConfigError("offset_mode must be 'literal' or 'noise'")
-    if mode == "noise" and offset < 0:
-        raise ConfigError("noise offset must be >= 0")
+    try:
+        _check_offset(offset, mode)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     seed = res.number("offset_seed", None, int)
     return {"offset": offset, "offset_mode": mode, "offset_seed": seed}
 
@@ -320,7 +301,7 @@ def _build_estimation(res: _Resolver, scen: ScenarioConfig) -> EstimationConfig:
     if not isinstance(paper_init, bool):
         raise ConfigError("paper_init must be a boolean")
     try:
-        return EstimationConfig(c0=scen.c0, paper_init=paper_init)
+        return EstimationConfig(c0=res.number("c0", scen.sigma_n2, float), paper_init=paper_init)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -329,7 +310,9 @@ def parse_config(argv=None) -> RunConfig:
     """Parse flags (and an optional config file) into a resolved RunConfig."""
     args = _build_parser().parse_args(argv)
     command = args.command
-    file_cfg = _load_config_file(args.config, command) if args.config else {}
+    # A config file takes exactly the keys the subcommand has flags for.
+    keys = set(vars(args)) - {"command", "config"}
+    file_cfg = _load_config_file(args.config, command, keys) if args.config else {}
     res = _Resolver(args, file_cfg)
 
     out = res.get("out")
@@ -338,12 +321,12 @@ def parse_config(argv=None) -> RunConfig:
     _check_out_path(out)
     seed = res.number("seed", 0, int)
     trials = res.number("trials", 10000, int, minimum=1)
-    workers = res.number("workers", None, int, minimum=1)
-    if workers is None:
-        workers = os.cpu_count() or 1
+    workers = 1
+    if "workers" in keys:
+        workers = res.number("workers", os.cpu_count() or 1, int, minimum=1)
+    recorded = res.get("recorded")
 
     if command == "power-trace":
-        recorded = res.get("recorded")
         if recorded is None:
             raise ConfigError("--recorded is required for power-trace")
         return RunConfig(
@@ -361,13 +344,15 @@ def parse_config(argv=None) -> RunConfig:
             **_offset_fields(res),
         )
 
-    snr_db = res.number("snr_db", 0.0, float) if command != "pd-curve" else 0.0
+    snr_db = res.number("snr_db", 10.0 if command == "convergence" else 0.0, float)
     scen = _build_scenario(res, snr_db=snr_db)
     est = _build_estimation(res, scen)
     pfa = res.number("pfa", 0.01, float)
     if not 0.0 < pfa < 1.0:
         raise ConfigError("pfa must lie in (0, 1)")
-    detectors = _parse_detectors(res.get("detectors")) if command != "convergence" else ()
+    detectors = ()
+    if "detectors" in keys:
+        detectors = _parse_detectors(res.get("detectors"), recorded is not None)
     floor = int(np.ceil(100.0 / pfa))
     cal_trials = res.number("cal_trials", floor, int, minimum=1)
     cal_seed = res.number("cal_seed", seed + 1, int)
@@ -386,7 +371,6 @@ def parse_config(argv=None) -> RunConfig:
     if command == "cfar-sweep":
         if scen.delta not in (None, 0.0) or scen.texture_shape is not None:
             raise ConfigError("cfar-sweep takes its interference models from the grids")
-        recorded = res.get("recorded")
         delta_grid = res.get("delta_grid")
         q_grid = res.get("q_grid")
         if recorded is not None:
@@ -424,7 +408,7 @@ def parse_config(argv=None) -> RunConfig:
         algorithm = AlgorithmTag.parse(str(res.get("algorithm", "alg1")))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return replace(base, algorithm=algorithm, snr_db=res.number("snr_db", 10.0, float))
+    return replace(base, algorithm=algorithm)
 
 
 def _finish(out: str, payload: dict) -> int:
@@ -568,9 +552,9 @@ def _run_pd_curve(config: RunConfig) -> int:
         f"calibration {config.cal_trials} trials"
     )
     curves, thresholds = pd_curves(
-        config.detectors, config.estimation, config.scenario, config.grid,
-        config.pfa, config.cal_trials, config.trials, config.seed,
-        config.cal_seed, None, config.workers,
+        config.detectors, config.estimation, config.scenario, snr_grid=config.grid,
+        nominal_pfa=config.pfa, cal_trials=config.cal_trials, trials=config.trials,
+        seed=config.seed, cal_seed=config.cal_seed, workers=config.workers,
     )
     write_curves_csv(config.out, curves)
     payload = _base_manifest(config, time.monotonic() - started)
@@ -585,16 +569,15 @@ def _run_pd_curve(config: RunConfig) -> int:
 def _run_convergence(config: RunConfig) -> int:
     started = time.monotonic()
     _progress(
-        f"tracing {config.algorithm.value} at snr {config.snr_db} dB over {config.trials} trials"
+        f"tracing {config.algorithm.value} at snr {config.scenario.snr_db} dB "
+        f"over {config.trials} trials"
     )
     trace = convergence_trace(
-        config.algorithm, config.scenario, config.snr_db,
-        config.trials, config.seed, config.estimation,
+        config.algorithm, config.scenario, config.trials, config.seed, config.estimation,
     )
     write_trace_csv(config.out, config.algorithm, trace, config.trials)
     payload = _base_manifest(config, time.monotonic() - started)
     payload["algorithm"] = config.algorithm
-    payload["snr_db"] = config.snr_db
     return _finish(config.out, payload)
 
 

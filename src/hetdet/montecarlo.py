@@ -311,13 +311,12 @@ def pd_curves(
     trials: int,
     seed: int,
     cal_seed: int | None = None,
-    cal_scenario: ScenarioConfig | None = None,
     workers: int = 1,
 ):
     """Pd-versus-SNR curves for several detectors with shared simulations.
 
-    Thresholds are calibrated under the null of `cal_scenario` (the matched
-    scenario by default) from a stream separate from the detection trials.
+    Thresholds are calibrated under the null of `scen` itself, the matched
+    scenario, from a stream separate from the detection trials.
     At each SNR every requested statistic sees the same bursts, so
     comparisons across detectors and along the grid are paired.  Returns
     (curves, thresholds): {kind: [CurvePoint, ...]} and {kind:
@@ -331,19 +330,17 @@ def pd_curves(
     _check_calibration_size(cal_trials, nominal_pfa)
     if cal_seed is None:
         cal_seed = seed + 1
-    if cal_scenario is None:
-        cal_scenario = scen
 
     thresholds = {}
     fixed = [k for k in kinds if k is not DetectorKind.CD]
     if fixed:
         thresholds.update(
-            calibrate_thresholds(fixed, cfg, cal_scenario, nominal_pfa, cal_trials, cal_seed, workers)
+            calibrate_thresholds(fixed, cfg, scen, nominal_pfa, cal_trials, cal_seed, workers)
         )
     if DetectorKind.CD in kinds:
         thresholds[DetectorKind.CD] = tuple(
             calibrate_thresholds(
-                [DetectorKind.CD], cfg, replace(cal_scenario, snr_db=snr),
+                [DetectorKind.CD], cfg, replace(scen, snr_db=snr),
                 nominal_pfa, cal_trials, cal_seed, workers,
             )[DetectorKind.CD]
             for snr, _ in points
@@ -356,13 +353,13 @@ def pd_curves(
 def convergence_trace(
     algorithm: AlgorithmTag,
     scen: ScenarioConfig,
-    snr_db: float,
     trials: int,
     seed: int,
     cfg: EstimationConfig | None = None,
 ) -> list:
     """Mean absolute log-likelihood change per iteration, averaged over trials.
 
+    Every trial is drawn under the target hypothesis at `scen.snr_db`.
     Stopping tolerances are disabled so every trial runs to the configured
     iteration cap; the trace is then well defined at every index.  The
     cyclic-ML trace starts at iteration 2 (the first iteration has no
@@ -374,7 +371,6 @@ def convergence_trace(
         raise ValueError("trials must be positive")
     if cfg is None:
         cfg = EstimationConfig()
-    scen = replace(scen, snr_db=float(snr_db))
     sums = None
     for start in range(0, trials, BLOCK_SIZE):
         count = min(BLOCK_SIZE, trials - start)

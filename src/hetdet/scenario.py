@@ -66,7 +66,8 @@ class ScenarioConfig:
 
     `delta` selects uniform heterogeneity (variances delta*U + sigma_n2),
     `texture_shape` the compound-Gaussian model (unit-mean Gamma textures of
-    that shape scaling sigma_n2).  The variance floor c0 defaults to sigma_n2.
+    that shape scaling sigma_n2).  The estimators' variance floor is not part
+    of the scenario: it is `EstimationConfig.c0`.
     """
 
     k: int
@@ -75,7 +76,6 @@ class ScenarioConfig:
     sigma_n2: float = 1.0
     snr_db: float = 0.0
     target_phase: float = 0.0
-    c0: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 2:
@@ -94,10 +94,6 @@ class ScenarioConfig:
             raise ValueError("snr_db must not be NaN or +inf")
         if not np.isfinite(self.target_phase):
             raise ValueError("target_phase must be finite")
-        if self.c0 is None:
-            object.__setattr__(self, "c0", float(self.sigma_n2))
-        elif not (np.isfinite(self.c0) and self.c0 > 0):
-            raise ValueError("c0 must be finite and > 0")
 
     @property
     def target_mean(self) -> np.ndarray:
@@ -264,8 +260,6 @@ class RecordedSeries:
 
     cells: np.ndarray
     bin_labels: np.ndarray
-    offset: float = 0.0
-    offset_mode: str = "literal"
 
     def __post_init__(self):
         cells = np.array(self.cells, dtype=complex)
@@ -310,6 +304,16 @@ def _numbered_rows(path) -> list:
         return [(n, line) for n, line in enumerate(fh, start=1) if n > 1 and line.strip()]
 
 
+def _check_offset(offset: float, offset_mode: str):
+    """Reject an offset `ingest_recorded` cannot apply."""
+    if offset_mode not in ("literal", "noise"):
+        raise ValueError("offset_mode must be 'literal' or 'noise'")
+    if not np.isfinite(offset):
+        raise ValueError("offset must be finite")
+    if offset_mode == "noise" and offset < 0:
+        raise ValueError("noise offset must be >= 0")
+
+
 def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", seed: int | None = None) -> RecordedSeries:
     """Read a recorded series from delimiter-separated text.
 
@@ -319,12 +323,7 @@ def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", see
     or, with mode "noise", as an independent white complex Gaussian floor of
     total power `offset` (variance offset/2 per axis) drawn from `seed`.
     """
-    if offset_mode not in ("literal", "noise"):
-        raise ValueError("offset_mode must be 'literal' or 'noise'")
-    if not np.isfinite(offset):
-        raise ValueError("offset must be finite")
-    if offset_mode == "noise" and offset < 0:
-        raise ValueError("noise offset must be >= 0")
+    _check_offset(offset, offset_mode)
     with open(path, encoding="utf-8") as fh:
         if [c.strip().lower() for c in fh.readline().split(",")] != ["bin_index", "pulse_index", "re", "im"]:
             raise ValueError(f"{path}: expected header 'bin_index, pulse_index, re, im'")
@@ -377,7 +376,7 @@ def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", see
             scale = np.sqrt(offset / 2.0)
             noise = scale * (rng.standard_normal(cells.shape) + 1j * rng.standard_normal(cells.shape))
             cells = cells + noise
-    return RecordedSeries(cells=cells, bin_labels=bins, offset=float(offset), offset_mode=offset_mode)
+    return RecordedSeries(cells=cells, bin_labels=bins)
 
 
 def sliding_bursts(series: RecordedSeries, bin_label: int, k: int, stride: int) -> np.ndarray:

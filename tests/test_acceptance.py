@@ -243,8 +243,8 @@ def test_08_homogeneous_coherent_detectors():
 
 def test_09_estimator_convergence_rates():
     scen = replace(WHITE, delta=10.0)
-    alg1 = dict(convergence_trace(AlgorithmTag.ALG1, scen, 10.0, TRIALS, seed=602))
-    em_m = dict(convergence_trace(AlgorithmTag.EM_M, scen, 10.0, TRIALS, seed=602))
+    alg1 = dict(convergence_trace(AlgorithmTag.ALG1, replace(scen, snr_db=10.0), TRIALS, seed=602))
+    em_m = dict(convergence_trace(AlgorithmTag.EM_M, replace(scen, snr_db=10.0), TRIALS, seed=602))
     ok = alg1[15] < 1e-2 and em_m[20] < 1e-3
     _report(9, "mean likelihood changes shrink within the caps", ok,
             f"cyclic ML at iter 15: {alg1[15]:.2e} < 1e-2, "

@@ -5,6 +5,7 @@ and checks flag/config-file precedence, artifact contents, determinism of
 written CSV bytes, and the exit-code contract (0 ok, 2 config, 3 runtime).
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from hetdet import estimation, montecarlo
-from hetdet.cli import ConfigError, main, parse_config
+from hetdet.cli import ConfigError, _build_parser, main, parse_config
 from hetdet.detectors import DetectorKind
 from hetdet.montecarlo import calibrate_thresholds
 from hetdet.scenario import ScenarioConfig, ingest_recorded, pulse_powers
@@ -29,6 +30,13 @@ def _lines(path):
 def _read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _subparsers():
+    """{command: its argparse subparser}."""
+    parser = _build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return dict(subs.choices)
 
 
 def _dies_in_worker(args):
@@ -51,7 +59,7 @@ class TestParseConfig:
         assert cfg.cal_seed == 1
         assert cfg.grid == (0.0, 5.0)
         assert cfg.detectors == tuple(DetectorKind)
-        assert cfg.estimation.c0 == cfg.scenario.c0 == 1.0
+        assert cfg.estimation.c0 == 1.0
         assert not cfg.estimation.paper_init
 
     def test_flag_overrides_file(self, tmp_path):
@@ -83,6 +91,26 @@ class TestParseConfig:
             parse_config(["pd-curve", "--config", str(path), "--snr-grid", "1",
                           "--out", str(tmp_path / "c.csv")])
 
+    @pytest.mark.parametrize("command", sorted(_subparsers()))
+    def test_every_flag_is_a_config_key(self, tmp_path, command):
+        flags = [a for a in _subparsers()[command]._actions if a.option_strings]
+        path = tmp_path / "cfg.json"
+        for action in flags:
+            if action.dest in ("help", "config"):
+                continue
+            value = action.const if action.const is not None else (action.type or str)(1)
+            path.write_text(json.dumps({action.dest: value}))
+            try:
+                parse_config([command, "--config", str(path), "--out", str(tmp_path / "c.csv")])
+            except ConfigError as exc:
+                assert "unknown config key" not in str(exc), action.dest
+
+    def test_convergence_takes_no_workers_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"workers": 2}))
+        with pytest.raises(ConfigError, match="unknown config keys for convergence: workers"):
+            parse_config(["convergence", "--config", str(path), "--out", str(tmp_path / "c.csv")])
+
     def test_paper_init_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"paper_init": True}))
@@ -98,8 +126,14 @@ class TestParseConfig:
         assert cfg.scenario.texture_shape == 0.5
         assert cfg.scenario.delta is None
         assert cfg.scenario.sigma_n2 == 2.0
-        assert cfg.scenario.c0 == 0.25
         assert cfg.estimation.c0 == 0.25
+
+    def test_c0_defaults_to_noise_power(self, tmp_path):
+        args = ["pd-curve", "--snr-grid", "1", "--sigma-n2", "3", "--out", str(tmp_path / "c.csv")]
+        assert parse_config(args).estimation.c0 == 3.0
+        assert parse_config([*args, "--c0", "0.5"]).estimation.c0 == 0.5
+        with pytest.raises(ConfigError, match="c0"):
+            parse_config([*args, "--c0", "0"])
 
     def test_missing_out_rejected(self):
         with pytest.raises(ConfigError, match="--out"):
@@ -360,7 +394,9 @@ class TestConvergenceCommand:
         assert changes[-1] < changes[0]
         manifest = json.loads(_read_bytes(str(tmp_path / "conv.manifest.json")))
         assert manifest["algorithm"] == "alg1"
-        assert manifest["snr_db"] == 10.0
+        assert manifest["scenario"]["snr_db"] == 10.0
+        assert manifest["workers"] == 1
+        assert "snr_db" not in manifest
 
     def test_em_mean_trace(self, tmp_path, capsys):
         out = str(tmp_path / "em.csv")
@@ -477,6 +513,13 @@ PINNED_ARTIFACTS = {
     "cfar-sweep-recorded": (
         ["cfar-sweep", "--detectors", "gd-he,agd,c-gd-he,c-agd,ed,chd,ca-chd",
          "--recorded", FIXTURE, "--k", "8", "--stride", "4", "--pfa", "0.1",
+         "--cal-trials", "1000", "--workers", "1"],
+        "9f445a0c65215505716d3e84576dda282e56cdff31b2762fbf5836eca95b31bc",
+    ),
+    # The default detector set of a recorded sweep: every detector but cd, in
+    # DetectorKind order, so the same bytes as the explicit list above.
+    "cfar-sweep-recorded-default-detectors": (
+        ["cfar-sweep", "--recorded", FIXTURE, "--k", "8", "--stride", "4", "--pfa", "0.1",
          "--cal-trials", "1000", "--workers", "1"],
         "9f445a0c65215505716d3e84576dda282e56cdff31b2762fbf5836eca95b31bc",
     ),

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from dataclasses import replace
+
 from hetdet import estimation
 from hetdet.detectors import DetectorKind, NonFiniteStatistic, statistics_batch
 from hetdet.estimation import EstimationConfig
@@ -336,7 +338,7 @@ class TestPdCurves:
 class TestConvergenceTrace:
     def test_cyclic_ml_trace_shape_and_decay(self):
         scen = ScenarioConfig(k=16, delta=10.0)
-        trace = convergence_trace(AlgorithmTag.ALG1, scen, 10.0, 600, seed=31)
+        trace = convergence_trace(AlgorithmTag.ALG1, replace(scen, snr_db=10.0), 600, seed=31)
         assert [i for i, _ in trace] == list(range(2, 16))
         values = [v for _, v in trace]
         assert values[-1] < 1e-2
@@ -344,15 +346,15 @@ class TestConvergenceTrace:
 
     def test_em_mean_trace(self):
         scen = ScenarioConfig(k=16, delta=10.0)
-        trace = convergence_trace(AlgorithmTag.EM_M, scen, 10.0, 300, seed=32)
+        trace = convergence_trace(AlgorithmTag.EM_M, replace(scen, snr_db=10.0), 300, seed=32)
         assert [i for i, _ in trace] == list(range(1, 21))
         assert trace[-1][1] < 1e-3
 
     def test_outer_trace_indices(self):
         scen = ScenarioConfig(k=16, delta=10.0)
-        trace = convergence_trace(AlgorithmTag.CYCLIC_EM, scen, 10.0, 64, seed=33)
+        trace = convergence_trace(AlgorithmTag.CYCLIC_EM, replace(scen, snr_db=10.0), 64, seed=33)
         assert [i for i, _ in trace] == list(range(1, 16))
-        trace_s = convergence_trace(AlgorithmTag.EM_SIGMA, scen, 10.0, 64, seed=33)
+        trace_s = convergence_trace(AlgorithmTag.EM_SIGMA, replace(scen, snr_db=10.0), 64, seed=33)
         assert [i for i, _ in trace_s] == list(range(1, 21))
 
     def test_parse_and_validation(self):
@@ -360,7 +362,7 @@ class TestConvergenceTrace:
         with pytest.raises(ValueError, match="unknown algorithm"):
             AlgorithmTag.parse("em")
         with pytest.raises(ValueError):
-            convergence_trace("alg1", WHITE, 0.0, 10, seed=0)
+            convergence_trace("alg1", replace(WHITE, snr_db=0.0), 10, seed=0)
 
 
 class TestBurstListStatistics:

@@ -39,14 +39,6 @@ class TestScenarioConfig:
             ScenarioConfig(k=16, delta=5.0, snr_db=np.nan)
         with pytest.raises(ValueError):
             ScenarioConfig(k=16, delta=5.0, snr_db=np.inf)
-        with pytest.raises(ValueError):
-            ScenarioConfig(k=16, delta=5.0, c0=0.0)
-
-    def test_c0_defaults_to_noise_power(self):
-        cfg = ScenarioConfig(k=16, delta=5.0, sigma_n2=3.0)
-        assert cfg.c0 == 3.0
-        cfg2 = ScenarioConfig(k=16, delta=5.0, sigma_n2=3.0, c0=0.5)
-        assert cfg2.c0 == 0.5
 
     def test_target_mean_norm_and_phase(self):
         cfg = ScenarioConfig(k=16, delta=5.0, sigma_n2=2.0, snr_db=13.0, target_phase=0.7)
