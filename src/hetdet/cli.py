@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .estimation import EstimationConfig
 from .montecarlo import (
     AlgorithmTag,
     CalibratedThreshold,
+    _calibration_floor,
+    _check_calibration_size,
     calibrate_thresholds,
     convergence_trace,
     exceedance_curves,
@@ -53,28 +55,33 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved description of one CLI run."""
+    """Fully resolved description of one CLI run.
+
+    A command fills only the fields it reads; every other field is None, so
+    the manifest, which records every field that is set, lists exactly the
+    settings the run used.
+    """
 
     command: str
-    scenario: ScenarioConfig
-    estimation: EstimationConfig
-    detectors: tuple
-    pfa: float
-    trials: int
-    seed: int
     out: str
-    workers: int
-    grid: tuple = ()
+    scenario: ScenarioConfig | None = None
+    estimation: EstimationConfig | None = None
+    detectors: tuple | None = None
+    pfa: float | None = None
+    trials: int | None = None
+    seed: int | None = None
+    workers: int | None = None
+    grid: tuple | None = None
     grid_kind: str | None = None
-    cal_trials: int = 0
-    cal_seed: int = 0
+    cal_trials: int | None = None
+    cal_seed: int | None = None
     algorithm: AlgorithmTag | None = None
     recorded: str | None = None
     bins: tuple | None = None
     bin_label: int | None = None
-    stride: int = 0
-    offset: float = 0.0
-    offset_mode: str = "literal"
+    stride: int | None = None
+    offset: float | None = None
+    offset_mode: str | None = None
     offset_seed: int | None = None
 
 
@@ -150,9 +157,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str, command: str, allowed: set) -> dict:
+# Config-file keys whose value must be text; `detectors` may also be a list of it.
+_TEXT_KEYS = ("out", "recorded", "offset_mode", "algorithm", "detectors")
+
+
+def _merge_config_file(args):
+    """Fill each dest whose flag was not given from the `--config` JSON object.
+
+    The file takes exactly the keys the subcommand has flags for.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
@@ -160,38 +175,32 @@ def _load_config_file(path: str, command: str, allowed: set) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(set(data) - (set(vars(args)) - {"command", "config"}))
     if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
-    return data
+        raise ConfigError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+    for key, value in data.items():
+        items = value if key == "detectors" and isinstance(value, list) else [value]
+        if key in _TEXT_KEYS and not all(isinstance(v, str) for v in items):
+            lists = " or a list of strings" if key == "detectors" else ""
+            raise ConfigError(f"{key} must be a string{lists}")
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
-class _Resolver:
-    """Flag-over-file-over-default merge for one parsed command line."""
-
-    def __init__(self, args, file_cfg):
-        self.args = args
-        self.file = file_cfg
-
-    def get(self, key, default=None):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if key in self.file:
-            return self.file[key]
-        return default
-
-    def number(self, key, default, kind, minimum=None):
-        raw = self.get(key, default)
-        if raw is None:
-            return None
-        try:
-            value = _coerce(raw, kind)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be a {kind.__name__}") from None
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}")
-        return value
+def _number(args, key, default, kind, minimum=None):
+    """The number `key` (flag, else config file, else `default`) as a `kind`."""
+    raw = getattr(args, key, None)
+    if raw is None:
+        raw = default
+    if raw is None:
+        return None
+    try:
+        value = _coerce(raw, kind)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a {kind.__name__}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}")
+    return value
 
 
 def _coerce(raw, kind):
@@ -220,13 +229,10 @@ def _parse_detectors(raw, recorded: bool) -> tuple:
     elif isinstance(raw, str):
         tokens = [part.strip() for part in raw.split(",") if part.strip()]
     else:
-        tokens = [str(part) for part in raw]
+        tokens = list(raw)
     if not tokens:
         raise ConfigError("detectors must be non-empty")
-    try:
-        kinds = tuple(DetectorKind.parse(token) for token in tokens)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    kinds = tuple(DetectorKind.parse(token) for token in tokens)
     if len(set(kinds)) != len(kinds):
         raise ConfigError("duplicate detector tags")
     return kinds
@@ -240,22 +246,19 @@ def _check_out_path(out: str):
         raise ConfigError(f"output directory is not writable: {parent}")
 
 
-def _build_scenario(res: _Resolver, snr_db: float = 0.0) -> ScenarioConfig:
-    delta = res.number("delta", None, float)
-    texture = res.number("texture_shape", None, float)
+def _build_scenario(args, snr_db: float) -> ScenarioConfig:
+    delta = _number(args, "delta", None, float)
+    texture = _number(args, "texture_shape", None, float)
     if delta is None and texture is None:
         delta = 0.0
-    try:
-        return ScenarioConfig(
-            k=res.number("k", 16, int),
-            delta=delta,
-            texture_shape=texture,
-            sigma_n2=res.number("sigma_n2", 1.0, float),
-            snr_db=snr_db,
-            target_phase=res.number("target_phase", 0.0, float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ScenarioConfig(
+        k=_number(args, "k", 16, int),
+        delta=delta,
+        texture_shape=texture,
+        sigma_n2=_number(args, "sigma_n2", 1.0, float),
+        snr_db=snr_db,
+        target_phase=_number(args, "target_phase", 0.0, float),
+    )
 
 
 def _grid_scenario(scen: ScenarioConfig, grid_kind: str, value: float) -> ScenarioConfig:
@@ -267,13 +270,13 @@ def _grid_scenario(scen: ScenarioConfig, grid_kind: str, value: float) -> Scenar
     return replace(scen, snr_db=value)
 
 
-def _parse_grid(res: _Resolver, scen: ScenarioConfig, grid_kind: str) -> tuple:
-    """The `<grid_kind>_grid` values, each checked by the scenario it will build.
+def _parse_grid(args, scen: ScenarioConfig, grid_kind: str) -> dict:
+    """The `<grid_kind>_grid` fields, each value checked by the scenario it will build.
 
     A bad value is a configuration error, found before any simulation runs.
     """
     key = f"{grid_kind}_grid"
-    grid = _parse_list(res.get(key), key, float)
+    grid = _parse_list(getattr(args, key), key, float)
     if not grid:
         raise ConfigError(f"--{grid_kind}-grid needs at least one value")
     try:
@@ -281,134 +284,135 @@ def _parse_grid(res: _Resolver, scen: ScenarioConfig, grid_kind: str) -> tuple:
             _grid_scenario(scen, grid_kind, value)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
-    return grid
+    return {"grid": grid, "grid_kind": grid_kind}
 
 
-def _offset_fields(res: _Resolver) -> dict:
+def _offset_fields(args) -> dict:
     """The recorded-sample offset settings, checked before any file is read."""
-    offset = res.number("offset", 0.0, float)
-    mode = str(res.get("offset_mode", "literal"))
-    try:
-        _check_offset(offset, mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    seed = res.number("offset_seed", None, int)
+    offset = _number(args, "offset", 0.0, float)
+    mode = "literal" if args.offset_mode is None else args.offset_mode
+    _check_offset(offset, mode)
+    seed = _number(args, "offset_seed", None, int)
     return {"offset": offset, "offset_mode": mode, "offset_seed": seed}
 
 
-def _build_estimation(res: _Resolver, scen: ScenarioConfig) -> EstimationConfig:
-    paper_init = res.get("paper_init", False)
+def _build_estimation(args, scen: ScenarioConfig) -> EstimationConfig:
+    paper_init = False if args.paper_init is None else args.paper_init
     if not isinstance(paper_init, bool):
         raise ConfigError("paper_init must be a boolean")
+    return EstimationConfig(c0=_number(args, "c0", scen.sigma_n2, float), paper_init=paper_init)
+
+
+def _calibration_size(args, key: str, pfa: float, default: int) -> int:
+    """The trial count `key`, held to montecarlo's calibration floor at `pfa`."""
+    trials = _number(args, key, default, int, minimum=1)
     try:
-        return EstimationConfig(c0=res.number("c0", scen.sigma_n2, float), paper_init=paper_init)
+        _check_calibration_size(trials, pfa)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{key}: {exc}") from None
+    return trials
 
 
 def parse_config(argv=None) -> RunConfig:
-    """Parse flags (and an optional config file) into a resolved RunConfig."""
-    args = _build_parser().parse_args(argv)
-    command = args.command
-    # A config file takes exactly the keys the subcommand has flags for.
-    keys = set(vars(args)) - {"command", "config"}
-    file_cfg = _load_config_file(args.config, command, keys) if args.config else {}
-    res = _Resolver(args, file_cfg)
+    """Parse flags (and an optional config file) into a resolved RunConfig.
 
-    out = res.get("out")
+    Each command resolves only the settings it reads.
+    """
+    args = _build_parser().parse_args(argv)
+    if args.config:
+        _merge_config_file(args)
+    try:
+        return _resolve(args)
+    except ValueError as exc:
+        # The library's own checks (scenario, estimation, offset, tags) reject
+        # a bad value before any simulation: a configuration error.
+        raise ConfigError(str(exc)) from None
+
+
+def _resolve(args) -> RunConfig:
+    """The settings the command reads; every other RunConfig field stays None."""
+    command, out = args.command, args.out
     if out is None:
         raise ConfigError("--out is required")
     _check_out_path(out)
-    seed = res.number("seed", 0, int)
-    trials = res.number("trials", 10000, int, minimum=1)
-    workers = 1
-    if "workers" in keys:
-        workers = res.number("workers", os.cpu_count() or 1, int, minimum=1)
-    recorded = res.get("recorded")
 
     if command == "power-trace":
-        if recorded is None:
+        if args.recorded is None:
             raise ConfigError("--recorded is required for power-trace")
         return RunConfig(
-            command=command,
-            scenario=ScenarioConfig(k=2, delta=0.0),
-            estimation=EstimationConfig(),
-            detectors=(),
-            pfa=0.01,
-            trials=trials,
-            seed=seed,
-            out=out,
-            workers=workers,
-            bin_label=res.number("bin_label", None, int),
-            recorded=str(recorded),
-            **_offset_fields(res),
+            command, out, recorded=args.recorded,
+            bin_label=_number(args, "bin_label", None, int), **_offset_fields(args),
         )
 
-    snr_db = res.number("snr_db", 10.0 if command == "convergence" else 0.0, float)
-    scen = _build_scenario(res, snr_db=snr_db)
-    est = _build_estimation(res, scen)
-    pfa = res.number("pfa", 0.01, float)
+    seed = _number(args, "seed", 0, int)
+    snr_db = _number(args, "snr_db", 10.0 if command == "convergence" else 0.0, float)
+    scen = _build_scenario(args, snr_db)
+    settings = {"scenario": scen, "estimation": _build_estimation(args, scen)}
+    if command == "convergence":
+        algorithm = AlgorithmTag.parse("alg1" if args.algorithm is None else args.algorithm)
+        return RunConfig(
+            command, out, trials=_number(args, "trials", 10000, int, minimum=1), seed=seed,
+            workers=1, algorithm=algorithm, **settings,
+        )
+
+    pfa = _number(args, "pfa", 0.01, float)
     if not 0.0 < pfa < 1.0:
         raise ConfigError("pfa must lie in (0, 1)")
-    detectors = ()
-    if "detectors" in keys:
-        detectors = _parse_detectors(res.get("detectors"), recorded is not None)
-    floor = int(np.ceil(100.0 / pfa))
-    cal_trials = res.number("cal_trials", floor, int, minimum=1)
-    cal_seed = res.number("cal_seed", seed + 1, int)
-    if command in ("cfar-sweep", "pd-curve") and cal_trials < floor:
-        raise ConfigError(f"cal_trials must be at least ceil(100 / pfa) = {floor}")
-    if command == "calibrate" and trials < floor:
-        raise ConfigError(f"trials must be at least ceil(100 / pfa) = {floor}")
-
-    base = RunConfig(
-        command=command, scenario=scen, estimation=est, detectors=detectors,
-        pfa=pfa, trials=trials, seed=seed, out=out, workers=workers,
+    recorded = getattr(args, "recorded", None)
+    detectors = _parse_detectors(args.detectors, recorded is not None)
+    settings.update(
+        detectors=detectors, pfa=pfa,
+        workers=_number(args, "workers", os.cpu_count() or 1, int, minimum=1),
     )
     if command == "calibrate":
-        return base
+        trials = _calibration_size(args, "trials", pfa, 10000)
+        return RunConfig(command, out, trials=trials, seed=seed, **settings)
 
+    settings.update(
+        cal_trials=_calibration_size(args, "cal_trials", pfa, _calibration_floor(pfa)),
+        cal_seed=_number(args, "cal_seed", seed + 1, int),
+    )
     if command == "cfar-sweep":
         if scen.delta not in (None, 0.0) or scen.texture_shape is not None:
             raise ConfigError("cfar-sweep takes its interference models from the grids")
-        delta_grid = res.get("delta_grid")
-        q_grid = res.get("q_grid")
         if recorded is not None:
-            if delta_grid is not None or q_grid is not None:
+            if args.delta_grid is not None or args.q_grid is not None:
                 raise ConfigError("recorded mode does not take synthetic grids")
             bad = [k.value for k in detectors if k.requires_truth]
             if bad:
                 raise ConfigError(f"recorded data carries no ground truth for: {', '.join(bad)}")
-            bins = _parse_list(res.get("bins"), "bins", int)
+            bins = _parse_list(args.bins, "bins", int)
             if len(set(bins)) != len(bins):
                 raise ConfigError("duplicate range bins")
-            return replace(
-                base,
-                cal_trials=cal_trials, cal_seed=cal_seed,
-                recorded=str(recorded),
-                bins=bins or None,
-                stride=res.number("stride", scen.k, int, minimum=1),
-                **_offset_fields(res),
+            # The windows come from the file, so trials and seed drive nothing
+            # here; the seed only sets the default calibration seed.
+            return RunConfig(
+                command, out, recorded=recorded, bins=bins or None,
+                stride=_number(args, "stride", scen.k, int, minimum=1),
+                **_offset_fields(args), **settings,
             )
-        if (delta_grid is None) == (q_grid is None):
+        if (args.delta_grid is None) == (args.q_grid is None):
             raise ConfigError("exactly one of --delta-grid and --q-grid is required")
-        grid_kind = "delta" if delta_grid is not None else "q"
-        return replace(
-            base, grid=_parse_grid(res, scen, grid_kind), grid_kind=grid_kind,
-            cal_trials=cal_trials, cal_seed=cal_seed,
-        )
+        settings.update(_parse_grid(args, scen, "delta" if args.delta_grid is not None else "q"))
+    else:
+        settings.update(_parse_grid(args, scen, "snr"))
+    trials = _number(args, "trials", 10000, int, minimum=1)
+    return RunConfig(command, out, trials=trials, seed=seed, **settings)
 
-    if command == "pd-curve":
-        return replace(
-            base, grid=_parse_grid(res, scen, "snr"), grid_kind="snr",
-            cal_trials=cal_trials, cal_seed=cal_seed,
-        )
 
-    try:
-        algorithm = AlgorithmTag.parse(str(res.get("algorithm", "alg1")))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return replace(base, algorithm=algorithm)
+def _manifest(config: RunConfig, started: float, **results) -> dict:
+    """A run's manifest: every setting its config holds, then its results and wall time."""
+    payload = {"version": __version__}
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if value is not None and field.name != "out":
+            payload[field.name] = value
+    scen = config.scenario
+    if scen is not None:
+        # The mean of the uniform model's variances; Gamma textures have unit mean.
+        payload["mean_interference_power"] = scen.sigma_n2 + (scen.delta or 0.0) / 2.0
+    payload.update(results, wall_time_s=time.monotonic() - started)
+    return payload
 
 
 def _finish(out: str, payload: dict) -> int:
@@ -416,49 +420,44 @@ def _finish(out: str, payload: dict) -> int:
     stem, ext = os.path.splitext(out)
     manifest = (stem if ext == ".csv" else out) + ".manifest.json"
     write_manifest(manifest, payload)
-    _emit(out)
-    _emit(manifest)
+    print(out, manifest, sep="\n")
     return EXIT_OK
 
 
-def _mean_interference_power(scen: ScenarioConfig) -> float:
-    if scen.delta is not None:
-        return scen.sigma_n2 + scen.delta / 2.0
-    return scen.sigma_n2
-
-
-def _base_manifest(config: RunConfig, wall_s: float) -> dict:
-    return {
-        "command": config.command,
-        "version": __version__,
-        "scenario": config.scenario,
-        "estimation": config.estimation,
-        "detectors": list(config.detectors),
-        "pfa": config.pfa,
-        "trials": config.trials,
-        "seed": config.seed,
-        "workers": config.workers,
-        "mean_interference_power": _mean_interference_power(config.scenario),
-        "wall_time_s": wall_s,
-    }
-
-
 def _threshold_etas(thresholds: dict) -> dict:
-    out = {}
-    for kind, th in thresholds.items():
-        if isinstance(th, CalibratedThreshold):
-            out[kind.value] = th.eta
-        else:
-            out[kind.value] = [t.eta for t in th]
-    return out
-
-
-def _emit(path: str):
-    print(path)
+    """Each detector's eta, or its list of per-SNR etas (the clairvoyant detector)."""
+    return {
+        kind.value: th.eta if isinstance(th, CalibratedThreshold) else [t.eta for t in th]
+        for kind, th in thresholds.items()
+    }
 
 
 def _progress(message: str):
     print(message, file=sys.stderr)
+
+
+def _check_bins(config: RunConfig, series, bins):
+    """Check the recorded bins before calibrating: a bad input should not cost one.
+
+    Each bin must exist and hold a burst.  For a detector that reads
+    directions, no window may hold a zero sample: the zero test of
+    `scenario.directions`, here naming the bin and the pulse.
+    """
+    k, stride = config.scenario.k, config.stride
+    if k > series.n_pulses:
+        raise ValueError(f"burst length {k} exceeds the {series.n_pulses} recorded pulses")
+    directions = any(kind.reads_directions for kind in config.detectors)
+    for bin_label in bins:
+        row = series.row(bin_label)
+        zero = row.real * row.real + row.imag * row.imag == 0.0
+        if directions and zero.any():
+            hits = np.argwhere(np.lib.stride_tricks.sliding_window_view(zero, k)[::stride])
+            if hits.size:
+                window, offset = hits[0]
+                raise ValueError(
+                    f"bin {bin_label}, pulse {window * stride + offset}: "
+                    "cannot normalize a zero-norm sample"
+                )
 
 
 def _run_calibrate(config: RunConfig) -> int:
@@ -471,10 +470,8 @@ def _run_calibrate(config: RunConfig) -> int:
         config.detectors, config.estimation, config.scenario,
         config.pfa, config.trials, config.seed, config.workers,
     )
-    payload = _base_manifest(config, time.monotonic() - started)
-    payload["thresholds"] = {k.value: thresholds[k] for k in config.detectors}
-    write_manifest(config.out, payload)
-    _emit(config.out)
+    write_manifest(config.out, _manifest(config, started, thresholds=thresholds))
+    print(config.out)
     return EXIT_OK
 
 
@@ -489,19 +486,13 @@ def _run_cfar_sweep(config: RunConfig) -> int:
             config.pfa, config.cal_trials, config.cal_seed, config.workers,
         )
 
+    results = {}
     if config.recorded is not None:
-        # Read and check the file first: a bad input should not cost a calibration.
         series = ingest_recorded(
             config.recorded, config.offset, config.offset_mode, config.offset_seed
         )
         bins = config.bins if config.bins is not None else tuple(series.bin_labels.tolist())
-        missing = [b for b in bins if b not in series.bin_labels]
-        if missing:
-            raise ValueError(f"unknown range bin {missing[0]}")
-        if config.scenario.k > series.n_pulses:
-            raise ValueError(
-                f"burst length {config.scenario.k} exceeds the {series.n_pulses} recorded pulses"
-            )
+        _check_bins(config, series, bins)
         thresholds = calibrate()
         window_counts = {}
 
@@ -514,15 +505,7 @@ def _run_cfar_sweep(config: RunConfig) -> int:
                 yield float(bin_label), stats
 
         curves = exceedance_curves(config.detectors, thresholds, bin_statistics())
-        extra = {
-            "recorded": config.recorded,
-            "bins": [int(b) for b in bins],
-            "stride": config.stride,
-            "offset": config.offset,
-            "offset_mode": config.offset_mode,
-            "offset_seed": config.offset_seed,
-            "windows_per_bin": window_counts,
-        }
+        results = {"bins": [int(b) for b in bins], "windows_per_bin": window_counts}
     else:
         thresholds = calibrate()
         scens = [_grid_scenario(white, config.grid_kind, value) for value in config.grid]
@@ -534,15 +517,11 @@ def _run_cfar_sweep(config: RunConfig) -> int:
             config.detectors, config.estimation, thresholds, scens,
             config.trials, config.seed, config.workers,
         )
-        extra = {"grid_kind": config.grid_kind, "grid": list(config.grid)}
     write_curves_csv(config.out, curves)
-    payload = _base_manifest(config, time.monotonic() - started)
-    payload.update(extra)
-    payload["cal_trials"] = config.cal_trials
-    payload["cal_seed"] = config.cal_seed
-    payload["calibration_scenario"] = white
-    payload["thresholds"] = _threshold_etas(thresholds)
-    return _finish(config.out, payload)
+    return _finish(config.out, _manifest(
+        config, started, calibration_scenario=white,
+        thresholds=_threshold_etas(thresholds), **results,
+    ))
 
 
 def _run_pd_curve(config: RunConfig) -> int:
@@ -557,13 +536,7 @@ def _run_pd_curve(config: RunConfig) -> int:
         seed=config.seed, cal_seed=config.cal_seed, workers=config.workers,
     )
     write_curves_csv(config.out, curves)
-    payload = _base_manifest(config, time.monotonic() - started)
-    payload["grid_kind"] = "snr"
-    payload["grid"] = list(config.grid)
-    payload["cal_trials"] = config.cal_trials
-    payload["cal_seed"] = config.cal_seed
-    payload["thresholds"] = _threshold_etas(thresholds)
-    return _finish(config.out, payload)
+    return _finish(config.out, _manifest(config, started, thresholds=_threshold_etas(thresholds)))
 
 
 def _run_convergence(config: RunConfig) -> int:
@@ -576,9 +549,7 @@ def _run_convergence(config: RunConfig) -> int:
         config.algorithm, config.scenario, config.trials, config.seed, config.estimation,
     )
     write_trace_csv(config.out, config.algorithm, trace, config.trials)
-    payload = _base_manifest(config, time.monotonic() - started)
-    payload["algorithm"] = config.algorithm
-    return _finish(config.out, payload)
+    return _finish(config.out, _manifest(config, started))
 
 
 def _run_power_trace(config: RunConfig) -> int:
@@ -595,18 +566,7 @@ def _run_power_trace(config: RunConfig) -> int:
             lines.append(f"{prefix}{pulse},{float(value)!r}")
     with open(config.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    payload = {
-        "command": config.command,
-        "version": __version__,
-        "recorded": config.recorded,
-        "bins": bins,
-        "n_pulses": series.n_pulses,
-        "offset": config.offset,
-        "offset_mode": config.offset_mode,
-        "offset_seed": config.offset_seed,
-        "wall_time_s": time.monotonic() - started,
-    }
-    return _finish(config.out, payload)
+    return _finish(config.out, _manifest(config, started, bins=bins, n_pulses=series.n_pulses))
 
 
 _RUNNERS = {
@@ -625,18 +585,13 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
+        return run(parse_config(argv))
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, exc
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        code, error = EXIT_RUNTIME, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -59,6 +59,11 @@ class DetectorKind(enum.Enum):
         """Whether the statistic needs the true (mean, variances) side information."""
         return self is DetectorKind.CD
 
+    @property
+    def reads_directions(self) -> bool:
+        """Whether the statistic needs every sample's direction, undefined at zero magnitude."""
+        return self in (DetectorKind.AGD, DetectorKind.C_GD_HE, DetectorKind.C_AGD)
+
     @classmethod
     def parse(cls, token: str) -> "DetectorKind":
         try:
@@ -136,7 +141,7 @@ def statistics_batch(
     needs_alg1 = DetectorKind.GD_HE in kinds or DetectorKind.C_AGD in kinds
     needs_em = DetectorKind.AGD in kinds or DetectorKind.C_GD_HE in kinds
     needs_h0 = DetectorKind.GD_HE in kinds or DetectorKind.C_GD_HE in kinds
-    needs_z = needs_em or DetectorKind.C_AGD in kinds
+    needs_z = any(kind.reads_directions for kind in kinds)
     if (needs_alg1 or needs_em) and cfg is None:
         raise ValueError("adaptive detectors need an EstimationConfig")
     if (needs_alg1 or needs_em) and k < 2:

@@ -204,10 +204,15 @@ def _rank_threshold(stats: np.ndarray, nominal_pfa: float) -> float:
     return float(np.sort(stats)[rank - 1])
 
 
-def _check_calibration_size(trials: int, nominal_pfa: float):
+def _calibration_floor(nominal_pfa: float) -> int:
+    """The fewest calibration trials at `nominal_pfa`: about 100 null exceedances."""
     if not (0.0 < nominal_pfa < 1.0):
         raise ValueError("nominal_pfa must lie in (0, 1)")
-    floor = int(np.ceil(100.0 / nominal_pfa))
+    return int(np.ceil(100.0 / nominal_pfa))
+
+
+def _check_calibration_size(trials: int, nominal_pfa: float):
+    floor = _calibration_floor(nominal_pfa)
     if trials < floor:
         raise ValueError(
             f"calibration needs at least ceil(100/pfa) = {floor} trials, got {trials}"

@@ -44,6 +44,14 @@ def _dies_in_worker(args):
     os._exit(1)
 
 
+def _zeroed_fixture(tmp_path):
+    """A copy of the recorded fixture whose bin 2, pulse 50 is exactly zero."""
+    lines = ["2,50,0.0,0.0" if line.startswith("2,50,") else line for line in _lines(FIXTURE)]
+    path = tmp_path / "zero.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestParseConfig:
     def test_defaults(self, tmp_path):
         out = str(tmp_path / "curve.csv")
@@ -222,6 +230,25 @@ class TestParseConfig:
             parse_config([*command, "--config", str(path), "--recorded", FIXTURE, *flags,
                           "--out", str(tmp_path / "p.csv")])
 
+    @pytest.mark.parametrize(
+        "command, file_cfg",
+        [(["pd-curve", "--snr-grid", "1"], {"detectors": 5}),
+         (["pd-curve", "--snr-grid", "1"], {"detectors": ["ed", 5]}),
+         (["pd-curve", "--snr-grid", "1"], {"out": 5}),
+         (["cfar-sweep"], {"recorded": 5}),
+         (["power-trace", "--recorded", FIXTURE], {"offset_mode": 0}),
+         (["convergence"], {"algorithm": 1})],
+    )
+    def test_file_text_of_wrong_type_rejected(self, tmp_path, capsys, command, file_cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        args = [*command, "--config", str(path), "--out", str(tmp_path / "c.csv")]
+        key = next(iter(file_cfg))
+        with pytest.raises(ConfigError, match=f"{key} must be a string"):
+            parse_config(args)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be a string")
+
     def test_integral_float_accepted_for_integer_key(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"trials": 300.0, "k": 8.0}))
@@ -260,14 +287,26 @@ class TestMainExitCodes:
         [(["--recorded", "{tmp}/missing.csv"], 3),
          (["--recorded", FIXTURE, "--offset", "nan"], 2),
          (["--recorded", FIXTURE, "--k", "999"], 3),
-         (["--recorded", FIXTURE, "--bins", "0,7"], 3)],
+         (["--recorded", FIXTURE, "--bins", "0,7"], 3),
+         (["--recorded", "{tmp}/zero.csv", "--detectors", "agd,ed"], 3)],
     )
     def test_bad_recorded_input_fails_before_calibration(self, tmp_path, capsys, args, code):
+        _zeroed_fixture(tmp_path)
         args = [a.replace("{tmp}", str(tmp_path)) for a in args]
         assert main(["cfar-sweep", "--detectors", "ed", "--pfa", "0.1", "--cal-trials", "1000",
                      *args, "--out", str(tmp_path / "c.csv")]) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and "calibrat" not in err
+
+    def test_zero_recorded_sample_fails_only_direction_detectors(self, tmp_path, capsys):
+        args = ["cfar-sweep", "--recorded", _zeroed_fixture(tmp_path), "--pfa", "0.1",
+                "--cal-trials", "1000", "--workers", "1", "--out", str(tmp_path / "c.csv")]
+        for detectors in ("agd,ed", "c-gd-he", "ed,c-agd"):
+            assert main([*args, "--detectors", detectors]) == 3
+            err = capsys.readouterr().err
+            assert err == "error: bin 2, pulse 50: cannot normalize a zero-norm sample\n"
+        assert main([*args, "--detectors", "ed,gd-he"]) == 0
+        assert capsys.readouterr().err.startswith("calibrating")
 
     def test_non_finite_statistic_is_3(self, tmp_path, capsys, monkeypatch):
         fused = estimation._em_parts
@@ -472,6 +511,58 @@ class TestRecordedSweep:
         rows = _lines(out)
         assert [row.split(",")[1] for row in rows[1:]] == ["0.0", "1.0", "2.0"]
         assert all(int(row.split(",")[5]) == 8 for row in rows[1:])
+
+
+# Every manifest records the settings its command reads, then its results,
+# and nothing else: a recorded sweep reads no trials or seed (its windows come
+# from the file), convergence no pfa or detectors, power-trace no model.
+_RUN = {"command", "version", "wall_time_s"}
+_MODEL = {"scenario", "estimation", "mean_interference_power"}
+_POOL = {"detectors", "pfa", "workers"}
+_CALIBRATED = {"cal_trials", "cal_seed", "thresholds"}
+MANIFEST_KEYS = {
+    "calibrate": (
+        ["calibrate", "--detectors", "ed", "--pfa", "0.1", "--trials", "1000", "--workers", "1"],
+        _RUN | _MODEL | _POOL | {"trials", "seed", "thresholds"},
+    ),
+    "cfar-sweep-delta-grid": (
+        ["cfar-sweep", "--detectors", "ed", "--delta-grid", "0,5", "--k", "8", "--pfa", "0.1",
+         "--cal-trials", "1000", "--trials", "100", "--workers", "1"],
+        _RUN | _MODEL | _POOL | _CALIBRATED
+        | {"trials", "seed", "grid", "grid_kind", "calibration_scenario"},
+    ),
+    "cfar-sweep-recorded": (
+        ["cfar-sweep", "--detectors", "ed", "--recorded", FIXTURE, "--pfa", "0.1",
+         "--cal-trials", "1000", "--workers", "1"],
+        _RUN | _MODEL | _POOL | _CALIBRATED
+        | {"recorded", "stride", "offset", "offset_mode", "calibration_scenario", "bins",
+           "windows_per_bin"},
+    ),
+    "pd-curve": (
+        ["pd-curve", "--detectors", "ed,cd", "--snr-grid", "0,5", "--k", "8", "--pfa", "0.1",
+         "--cal-trials", "1000", "--trials", "100", "--workers", "1"],
+        _RUN | _MODEL | _POOL | _CALIBRATED | {"trials", "seed", "grid", "grid_kind"},
+    ),
+    "convergence": (
+        ["convergence", "--algorithm", "em-m", "--k", "8", "--trials", "20"],
+        _RUN | _MODEL | {"trials", "seed", "workers", "algorithm"},
+    ),
+    "power-trace": (
+        ["power-trace", "--recorded", FIXTURE, "--bin", "1"],
+        _RUN | {"recorded", "bin_label", "offset", "offset_mode", "bins", "n_pulses"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST_KEYS))
+def test_manifest_keys(tmp_path, capsys, name):
+    args, keys = MANIFEST_KEYS[name]
+    calibrate = args[0] == "calibrate"
+    out = str(tmp_path / ("thr.json" if calibrate else "artifact.csv"))
+    assert main([*args, "--out", out]) == 0
+    manifest = capsys.readouterr().out.split()[-1]
+    assert manifest == (out if calibrate else str(tmp_path / "artifact.manifest.json"))
+    assert set(json.loads(_read_bytes(manifest))) == keys
 
 
 # Small runs whose CSV bytes are pinned: a refactor that claims to change no
