@@ -2,11 +2,12 @@
 
 The package models bursts of K complex pulse returns whose per-pulse
 interference power is unknown and varies across the burst.  It provides
-exact reference numerics for the angular target density, two iterative
-parameter-estimation procedures (a cyclic ML ascent on raw returns and a
-doubly iterative EM ascent on pulse directions), eight detection statistics
-built on them, synthetic scenario generators, recorded-series ingestion,
-and a deterministic Monte Carlo harness with a command-line front end.
+stable numerics for the direction likelihood and its EM moments, two
+iterative parameter-estimation procedures (a cyclic ML ascent on raw returns
+and a doubly iterative EM ascent on pulse directions), eight detection
+statistics built on them, synthetic scenario generators, recorded-series
+ingestion, and a deterministic Monte Carlo harness with a command-line front
+end.
 """
 
 __version__ = "0.1.0"
@@ -37,14 +38,9 @@ from .montecarlo import (
     write_trace_csv,
 )
 from .numerics import (
-    angular_pdf_h1,
     cond_mean_norm,
     cond_mean_sq_residual,
-    gaussian_pdf,
     log1p_mills,
-    mills_term,
-    xi,
-    xi_derivatives,
 )
 from .scenario import (
     Hypothesis,
@@ -68,18 +64,15 @@ __all__ = [
     "RecordedSeries",
     "ScenarioConfig",
     "angular_loglik",
-    "angular_pdf_h1",
     "angular_statistic",
     "calibrate_thresholds",
     "cond_mean_norm",
     "cond_mean_sq_residual",
     "convergence_trace",
     "gaussian_loglik",
-    "gaussian_pdf",
     "gen_block",
     "ingest_recorded",
     "log1p_mills",
-    "mills_term",
     "pd_curves",
     "pfa_sweep",
     "pulse_powers",
@@ -92,6 +85,4 @@ __all__ = [
     "write_curves_csv",
     "write_manifest",
     "write_trace_csv",
-    "xi",
-    "xi_derivatives",
 ]

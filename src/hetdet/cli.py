@@ -378,14 +378,19 @@ def _resolve(args) -> RunConfig:
         if recorded is not None:
             if args.delta_grid is not None or args.q_grid is not None:
                 raise ConfigError("recorded mode does not take synthetic grids")
+            # The windows come from the file: no trial count, target SNR or
+            # target phase reaches a recorded sweep.
+            unread = [key for key in ("trials", "snr_db", "target_phase")
+                      if getattr(args, key) is not None]
+            if unread:
+                raise ConfigError(f"recorded mode does not take: {', '.join(unread)}")
             bad = [k.value for k in detectors if k.requires_truth]
             if bad:
                 raise ConfigError(f"recorded data carries no ground truth for: {', '.join(bad)}")
             bins = _parse_list(args.bins, "bins", int)
             if len(set(bins)) != len(bins):
                 raise ConfigError("duplicate range bins")
-            # The windows come from the file, so trials and seed drive nothing
-            # here; the seed only sets the default calibration seed.
+            # The seed only sets the default calibration seed.
             return RunConfig(
                 command, out, recorded=recorded, bins=bins or None,
                 stride=_number(args, "stride", scen.k, int, minimum=1),

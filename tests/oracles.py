@@ -24,9 +24,8 @@ def magnitude_moments(p, sigma2, norm_m_sq=0.0):
 
     The density of a magnitude b given its direction is proportional to
     b*exp((2*b*p - b^2)/(2*sigma2)) on b >= 0.  Returns (xi, mean,
-    mean_sq_residual, xi', xi'') where xi = log of the unnormalized mass,
-    mean_sq_residual = E[b^2] - 2*p*E[b] + norm_m_sq, xi' = mean/sigma2 and
-    xi'' = Var[b]/sigma2^2.
+    mean_sq_residual) where xi = log of the unnormalized mass and
+    mean_sq_residual = E[b^2] - 2*p*E[b] + norm_m_sq.
     """
     p = mp.mpf(p)
     s2 = mp.mpf(sigma2)
@@ -38,13 +37,7 @@ def magnitude_moments(p, sigma2, norm_m_sq=0.0):
     z = mp.quad(w, pts)
     m1 = mp.quad(lambda b: b * w(b), pts) / z
     m2 = mp.quad(lambda b: b * b * w(b), pts) / z
-    return (
-        mp.log(z),
-        m1,
-        m2 - 2 * p * m1 + msq,
-        m1 / s2,
-        (m2 - m1 * m1) / (s2 * s2),
-    )
+    return mp.log(z), m1, m2 - 2 * p * m1 + msq
 
 
 def mills_exact(t):
@@ -60,6 +53,21 @@ def cond_mean_norm_exact(p, sigma2):
     sig = mp.sqrt(s2)
     cdf = mp.ncdf(p / sig)
     return p + s2 * cdf / (sig * _phi(p / sig) + p * cdf)
+
+
+def cond_mean_sq_residual_exact(p, sigma2, norm_m_sq):
+    """sigma2*(1 + A) - p^2 + norm_m_sq at t = p/sigma, in mpmath.
+
+    A = sigma*phi/(sigma*phi + p*Phi), and E[(b - p)^2] = sigma2*(1 + A) for
+    the magnitude b given its direction, so this is E[b^2] - 2*p*E[b] +
+    norm_m_sq (see magnitude_moments).
+    """
+    p = mp.mpf(p)
+    s2 = mp.mpf(sigma2)
+    sig = mp.sqrt(s2)
+    pdf = _phi(p / sig)
+    a = sig * pdf / (sig * pdf + p * mp.ncdf(p / sig))
+    return s2 * (1 + a) - p * p + mp.mpf(norm_m_sq)
 
 
 def log1p_mills_exact(t):

@@ -172,6 +172,22 @@ class TestParseConfig:
             parse_config(["cfar-sweep", "--recorded", FIXTURE, "--detectors", "cd",
                           "--out", out])
 
+    @pytest.mark.parametrize(
+        "file_cfg, flags",
+        [({}, ["--trials", "0"]), ({"trials": 500}, []), ({}, ["--snr-db", "7"]),
+         ({"snr_db": 7.0}, []), ({}, ["--target-phase", "1.0"]), ({"target_phase": 1.0}, [])],
+    )
+    def test_recorded_mode_refuses_unread_settings(self, tmp_path, capsys, file_cfg, flags):
+        """A recorded sweep reads no trial count, SNR or target phase: refuse them."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        args = ["cfar-sweep", "--config", str(path), "--recorded", FIXTURE, "--detectors", "ed",
+                *flags, "--out", str(tmp_path / "s.csv")]
+        with pytest.raises(ConfigError, match="recorded mode does not take"):
+            parse_config(args)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: recorded mode does not take")
+
     @pytest.mark.parametrize("file_cfg, flags", [({}, ["--bins", "0,0"]), ({"bins": [2, 1, 2]}, [])])
     def test_duplicate_recorded_bins_rejected(self, tmp_path, capsys, file_cfg, flags):
         path = tmp_path / "cfg.json"

@@ -3,8 +3,10 @@
 Single-burst checks run the batched engines on a stack of one.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 
 from hetdet.estimation import (
     EstimationConfig,
@@ -17,8 +19,10 @@ from hetdet.estimation import (
     em_sigma_batch,
     gaussian_loglik,
 )
-from hetdet.numerics import _sq_norm, angular_pdf_h1, cond_mean_norm, cond_mean_sq_residual
+from hetdet.numerics import _sq_norm, cond_mean_norm, cond_mean_sq_residual, log1p_mills
 from hetdet.scenario import Hypothesis, ScenarioConfig, directions, gen_block
+
+from oracles import angular_density_exact
 
 RUN_TO_CAP = EstimationConfig(eps=0.0, eps1=0.0, eps2=0.0, eps3=0.0)
 
@@ -101,13 +105,114 @@ class TestLoglikHelpers:
         z = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         m = np.array([1.2, 0.5])
         s2 = rng.uniform(0.5, 3.0, size=6)
-        direct = sum(np.log(angular_pdf_h1(z[i], m, s2[i])) for i in range(6))
+        direct = sum(
+            float(mp.log(angular_density_exact(theta[i], m[0], m[1], s2[i]))) for i in range(6)
+        )
         assert np.isclose(angular_loglik(z, m, s2), direct, rtol=1e-12)
 
     def test_angular_loglik_uniform_at_zero_mean(self):
         z = np.tile([1.0, 0.0], (4, 1))
         val = angular_loglik(z, np.zeros(2), np.ones(4))
         assert np.isclose(val, -4.0 * np.log(2.0 * np.pi), rtol=1e-15)
+
+
+def _angular_density(theta, m, sigma2):
+    """exp(angular_loglik) of one-pulse bursts at the angles theta: the direction density."""
+    theta = np.atleast_1d(theta)
+    z = np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, None, :]
+    return np.exp(angular_loglik(z, np.asarray(m, dtype=float), np.array([sigma2])))
+
+
+class TestOnePulseDensities:
+    """With K = 1 the two log-likelihoods are log densities: of a sample, and of its direction."""
+
+    def test_gaussian_peak_and_normalization(self):
+        m = np.array([0.7, -1.2])
+        peak = np.exp(gaussian_loglik(m[None, :], m, np.array([1.0])))
+        assert peak == 1.0 / (2.0 * np.pi)
+        val, err = integrate.dblquad(
+            lambda y, x: np.exp(gaussian_loglik(np.array([[x, y]]), m, np.array([2.0]))),
+            -15.0, 15.0, -15.0, 15.0, epsabs=1e-10,
+        )
+        np.testing.assert_allclose(val, 1.0, atol=1e-8)
+        assert err < 1e-8
+
+    def test_angular_batched_rows(self):
+        rng = np.random.default_rng(4)
+        theta = rng.uniform(0.0, 2.0 * np.pi, (64, 1))
+        z = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        m = 3.0 * rng.standard_normal((64, 2))
+        s2 = np.full((64, 1), 1.5)
+        single = [angular_loglik(z[i], m[i], s2[i]) for i in range(64)]
+        np.testing.assert_allclose(angular_loglik(z, m, s2), single, rtol=1e-15)
+
+    def test_angular_rotation_invariant(self):
+        """The density depends on the direction only through its angle to the mean."""
+        thetas = np.linspace(0.0, 2.0 * np.pi, 13)
+        m = np.array([2.0, -1.0])
+        for rot in (0.3, 2.0, -1.1):
+            c, s = np.cos(rot), np.sin(rot)
+            m_rot = np.array([c * m[0] - s * m[1], s * m[0] + c * m[1]])
+            np.testing.assert_allclose(
+                _angular_density(thetas + rot, m_rot, 0.8), _angular_density(thetas, m, 0.8),
+                rtol=1e-12,
+            )
+
+    def test_angular_peaks_along_mean_and_is_symmetric(self):
+        m = np.array([1.5, 2.0])
+        phi = np.arctan2(m[1], m[0])
+        d = np.linspace(0.05, np.pi - 0.05, 40)
+        peak = _angular_density(phi, m, 1.2)[0]
+        left, right = _angular_density(phi - d, m, 1.2), _angular_density(phi + d, m, 1.2)
+        np.testing.assert_allclose(left, right, rtol=1e-12)
+        assert np.all(right < peak) and np.all(np.diff(right) < 0)
+
+    def test_angular_normalizes_on_circle(self):
+        for m, s2 in (([1.5, -0.5], 1.0), ([4.0, 3.0], 0.5)):
+            val, _ = integrate.quad(
+                lambda th: _angular_density(th, m, s2)[0],
+                0.0, 2.0 * np.pi, epsabs=1e-12, limit=200,
+            )
+            np.testing.assert_allclose(val, 1.0, atol=1e-10)
+
+    def test_angular_matches_magnitude_marginalization(self):
+        """Defining relation: integrate the joint density over the magnitude."""
+        m = [1.2, -0.8]
+        thetas = np.array([0.1, 1.0, 2.5, 4.0])
+        got = _angular_density(thetas, m, 1.7)
+        for theta, gi in zip(thetas, got):
+            ref = float(angular_density_exact(theta, m[0], m[1], 1.7))
+            np.testing.assert_allclose(gi, ref, rtol=1e-10)
+
+    def test_angular_extreme_mean_stays_finite(self):
+        """Positive wherever the true value is representable in float64."""
+        thetas = np.array([0.0, np.pi / 2, np.pi])
+        v = _angular_density(thetas, [35.0, 0.0], 1.0)
+        assert np.all(np.isfinite(v)) and np.all(v > 0)
+        # At 80 sigma the opposing direction genuinely underflows; no NaN/Inf.
+        v = _angular_density(thetas, [80.0, 0.0], 1.0)
+        assert np.all(np.isfinite(v)) and np.all(v >= 0) and v[0] > 0
+
+
+class TestDirectionLikelihoodHasNoMaximum:
+    """The direction likelihood rises without bound along aligned means, so agd has no maximum.
+
+    One pulse at cos(phi - theta) = 1 adds -a^2/2 + log1p_mills(a) with
+    a = ||m||/sigma, which grows like log a + log(2*pi)/2; the ascent is
+    stopped by its iteration cap and tolerance, not by a maximum.
+    """
+
+    AMPLITUDES = (16.0, 64.0, 256.0, 1e4)
+
+    def test_one_pulse_term_grows_like_log_amplitude(self):
+        for a in self.AMPLITUDES:
+            term = -0.5 * a * a + log1p_mills(a)
+            np.testing.assert_allclose(term, np.log(a) + 0.5 * np.log(2.0 * np.pi), rtol=1e-9)
+
+    def test_aligned_burst_loglik_rises_strictly(self):
+        z = np.tile([1.0, 0.0], (16, 1))
+        ll = [angular_loglik(z, np.array([a, 0.0]), np.ones(16)) for a in self.AMPLITUDES]
+        assert np.all(np.diff(ll) > 0)
 
 
 class TestH0Variances:

@@ -5,74 +5,17 @@ from __future__ import annotations
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hetdet import numerics as nm
 
 from oracles import (
-    angular_density_exact,
     cond_mean_norm_exact,
+    cond_mean_sq_residual_exact,
     log1p_mills_exact,
     magnitude_moments,
-    mills_exact,
 )
-
-
-class TestStdNormal:
-    def test_frozen_point(self):
-        """Values at t = 1 frozen from a 40-digit computation."""
-        pdf, cdf = nm.std_normal(1.0)
-        np.testing.assert_allclose(pdf, 0.24197072451914335, rtol=1e-14)
-        np.testing.assert_allclose(cdf, 0.84134474606854295, rtol=1e-14)
-
-    def test_symmetry_and_tails(self):
-        half = np.linspace(0.0, 37.0, 1001)[1:]
-        t = np.concatenate([-half[::-1], [0.0], half])
-        pdf, cdf = nm.std_normal(t)
-        np.testing.assert_allclose(pdf, pdf[::-1], rtol=1e-13)
-        np.testing.assert_allclose(cdf + cdf[::-1], 1.0, atol=1e-15)
-        assert np.all(np.diff(cdf) >= 0)
-        # Strict growth holds until the cdf rounds to 1 near t = 8.1.
-        inner = np.abs(t) <= 8.0
-        assert np.all(np.diff(cdf[inner]) > 0)
-
-    def test_tail_relative_accuracy(self):
-        for t in (-5.0, -12.0, -30.0, -37.0):
-            _, cdf = nm.std_normal(t)
-            exact = float(mills_exact(t) / t * np.exp(-t * t / 2) / np.sqrt(2 * np.pi))
-            np.testing.assert_allclose(cdf, exact, rtol=5e-13)
-
-
-class TestMillsTerm:
-    def test_zero(self):
-        assert nm.mills_term(0.0) == 0.0
-
-    def test_frozen_deep_negative(self):
-        """t = -30 sits on the continued-fraction branch; oracle frozen."""
-        v = nm.mills_term(-30.0)
-        np.testing.assert_allclose(v, -0.9988925721749164, rtol=1e-13)
-        assert -1.0 < v < -0.998
-
-    def test_against_oracle_grid(self):
-        for t in (-500.0, -100.0, -8.5, -5.0, -1.0, 0.5, 5.0, 20.0, 37.0):
-            np.testing.assert_allclose(
-                nm.mills_term(t), float(mills_exact(t)), rtol=1e-12
-            )
-
-    def test_limits(self):
-        t = np.array([-1e4, -500.0, -100.0])
-        v = nm.mills_term(t)
-        assert np.all(v > -1.0)
-        np.testing.assert_allclose(v, -1.0 + 1.0 / t**2, rtol=1e-3)
-
-    def test_branch_seams(self):
-        for seam in (-8.0, 8.0):
-            below = nm.mills_term(np.nextafter(seam, -np.inf))
-            above = nm.mills_term(np.nextafter(seam, np.inf))
-            np.testing.assert_allclose(below, above, rtol=1e-12)
-
-    def test_saturates_beyond_float_range(self):
-        assert np.isinf(nm.mills_term(39.0))
 
 
 class TestLog1pMills:
@@ -86,6 +29,8 @@ class TestLog1pMills:
         np.testing.assert_allclose(
             nm.log1p_mills(-500.0), -12.429228196676388, rtol=1e-13
         )
+        np.testing.assert_allclose(nm.log1p_mills(-40.0), -7.3796298234152875, rtol=1e-13)
+        assert nm.log1p_mills(0.0) == 0.0
 
     def test_against_oracle_grid(self):
         for t in (-200.0, -8.5, -7.9, -2.0, 0.0, 3.0, 7.9, 8.5, 100.0, 500.0):
@@ -93,32 +38,34 @@ class TestLog1pMills:
                 nm.log1p_mills(t), float(log1p_mills_exact(t)), rtol=1e-12
             )
 
+    def test_deep_negative_limit(self):
+        """1 + t*Phi/phi -> 1/t^2 as t -> -inf, so the log falls like -2*log|t|."""
+        t = np.array([-1e4, -500.0, -100.0])
+        np.testing.assert_allclose(nm.log1p_mills(t), -2.0 * np.log(-t), rtol=1e-3)
+
     def test_finite_over_extended_range(self):
         t = np.linspace(-500.0, 500.0, 200001)
         v = nm.log1p_mills(t)
         assert np.all(np.isfinite(v))
         assert np.all(np.diff(v) > 0)
 
+    def test_strictly_convex(self):
+        """log(sigma^2) + log1p_mills(p/sigma) has second derivative Var[b]/sigma^4 > 0 in p."""
+        v = nm.log1p_mills(np.linspace(-500.0, 500.0, 4001))
+        assert np.all(v[2:] - 2.0 * v[1:-1] + v[:-2] > 0)
 
-class TestXi:
-    def test_frozen_deep_negative(self):
-        np.testing.assert_allclose(nm.xi(-40.0, 1.0), -7.3796298234152875, rtol=1e-13)
+    def test_branch_seams(self):
+        for seam in (-8.0, 8.0):
+            below = nm.log1p_mills(np.nextafter(seam, -np.inf))
+            above = nm.log1p_mills(np.nextafter(seam, np.inf))
+            np.testing.assert_allclose(below, above, rtol=1e-12)
 
-    def test_against_quadrature(self):
-        for p, s2 in ((0.3, 1.0), (-3.0, 2.0), (6.0, 0.5), (-15.0, 4.0)):
-            xi_ref, _, _, _, _ = magnitude_moments(p, s2)
-            np.testing.assert_allclose(nm.xi(p, s2), float(xi_ref), rtol=1e-10)
-
-    def test_log_sigma2_shift(self):
-        """Scaling both p and sigma shifts xi by exactly log of the variance ratio."""
-        p = np.array([-4.0, -0.5, 0.0, 2.5])
-        base = nm.xi(p, 1.0)
-        shifted = nm.xi(3.0 * p, 9.0)
-        np.testing.assert_allclose(shifted - base, np.log(9.0), rtol=1e-12)
-
-    def test_finite_over_extended_range(self):
-        p = np.linspace(-500.0, 500.0, 10001)
-        assert np.all(np.isfinite(nm.xi(p, 1.0)))
+    def test_finite_past_phi_overflow(self):
+        """1/phi(t) overflows float64 near t = 37.7; the log-domain branch does not."""
+        for t in (39.0, 60.0):
+            np.testing.assert_allclose(
+                nm.log1p_mills(t), float(log1p_mills_exact(t)), rtol=1e-13
+            )
 
 
 class TestCondMeanNorm:
@@ -134,7 +81,7 @@ class TestCondMeanNorm:
 
     def test_against_quadrature(self):
         for p, s2 in ((0.0, 1.0), (2.0, 0.25), (-6.0, 3.0), (12.0, 1.0)):
-            _, mean_ref, _, _, _ = magnitude_moments(p, s2)
+            _, mean_ref, _ = magnitude_moments(p, s2)
             np.testing.assert_allclose(nm.cond_mean_norm(p, s2), float(mean_ref), rtol=1e-10)
 
     def test_positive_monotone_increasing(self):
@@ -152,16 +99,20 @@ class TestCondMeanNorm:
         p = np.array([-50.0, -200.0])
         np.testing.assert_allclose(nm.cond_mean_norm(p, 1.0), -2.0 / p, rtol=1e-2)
 
-    def test_direct_form_accuracy_above_moment_branch(self):
-        """Just above t = -4 the direct form cancels; pin its error against 50 digits."""
-        t = np.linspace(-4.0, -3.5, 2001)[1:]
-        with mp.workdps(50):
-            for s2 in (1.0, 2.5):
-                p = t * np.sqrt(s2)
-                got = nm.cond_mean_norm(p, s2)
-                for pi, gi in zip(p, got):
-                    ref = cond_mean_norm_exact(pi, s2)
-                    assert abs((mp.mpf(gi) - ref) / ref) < 1e-12, (pi, s2)
+    def test_is_slope_of_log_term(self):
+        """d/dp [log sigma^2 + log1p_mills(p/sigma)] = cond_mean_norm(p, sigma^2) / sigma^2."""
+        s2, h = 1.3, 1e-5
+        for p in (-6.0, -0.3, 0.0, 2.0, 5.5):
+            fd = (nm.log1p_mills((p + h) / np.sqrt(s2)) - nm.log1p_mills((p - h) / np.sqrt(s2))) / (2 * h)
+            np.testing.assert_allclose(nm.cond_mean_norm(p, s2) / s2, fd, rtol=1e-8)
+
+    def test_scales_with_sigma(self):
+        """The mean is sigma times a function of t = p/sigma; a power-of-two scale is exact in t."""
+        p = np.linspace(-50.0, 50.0, 101)
+        for c in (0.25, 4.0):
+            np.testing.assert_allclose(
+                nm.cond_mean_norm(c * p, c * c * 2.5), c * nm.cond_mean_norm(p, 2.5), rtol=1e-15
+            )
 
 
 class TestCondMeanSqResidual:
@@ -178,9 +129,20 @@ class TestCondMeanSqResidual:
 
     def test_against_quadrature(self):
         for p, s2, msq in ((1.0, 1.0, 1.0), (-3.0, 2.0, 9.5), (5.0, 0.5, 30.0), (-12.0, 1.0, 150.0)):
-            _, _, r_ref, _, _ = magnitude_moments(p, s2, msq)
+            _, _, r_ref = magnitude_moments(p, s2, msq)
             np.testing.assert_allclose(
                 nm.cond_mean_sq_residual(p, s2, msq), float(r_ref), rtol=1e-10
+            )
+
+    def test_scales_with_sigma2(self):
+        """Scaling p and sigma by c, and norm_m_sq by c^2, scales the residual by c^2."""
+        p = np.linspace(-50.0, 50.0, 101)
+        msq = p * p + 3.0
+        for c in (0.25, 4.0):
+            np.testing.assert_allclose(
+                nm.cond_mean_sq_residual(c * p, c * c * 2.5, c * c * msq),
+                c * c * nm.cond_mean_sq_residual(p, 2.5, msq),
+                rtol=1e-15,
             )
 
     def test_additive_in_norm_m_sq(self):
@@ -199,126 +161,49 @@ class TestCondMeanSqResidual:
         assert np.all(r > 0)
 
 
-class TestXiDerivatives:
-    def test_first_matches_mean_over_sigma2(self):
-        p = np.linspace(-50.0, 50.0, 101)
-        d1, _ = nm.xi_derivatives(p, 2.5)
-        np.testing.assert_allclose(d1, nm.cond_mean_norm(p, 2.5) / 2.5, rtol=1e-12)
-
-    def test_against_quadrature(self):
-        for p, s2 in ((0.7, 1.0), (-4.0, 0.5), (9.0, 2.0), (-14.0, 1.0)):
-            _, _, _, xi1_ref, xi2_ref = magnitude_moments(p, s2)
-            d1, d2 = nm.xi_derivatives(p, s2)
-            np.testing.assert_allclose(d1, float(xi1_ref), rtol=1e-10)
-            np.testing.assert_allclose(d2, float(xi2_ref), rtol=1e-9)
-
-    def test_finite_differences(self):
-        """Steps sized so truncation and float cancellation both stay small."""
-        for p in (-6.0, -0.3, 0.0, 2.0, 5.5):
-            h1, h2 = 1e-5, 1e-3
-            fd1 = (nm.xi(p + h1, 1.3) - nm.xi(p - h1, 1.3)) / (2 * h1)
-            fd2 = (nm.xi(p + h2, 1.3) - 2 * nm.xi(p, 1.3) + nm.xi(p - h2, 1.3)) / h2**2
-            d1, d2 = nm.xi_derivatives(p, 1.3)
-            np.testing.assert_allclose(d1, fd1, rtol=1e-8)
-            np.testing.assert_allclose(d2, fd2, rtol=1e-5)
-
-    def test_strict_convexity_at_random_points(self):
-        """Second derivative positive at 1e4 random points over wide scales."""
-        rng = np.random.default_rng(42)
-        p = rng.uniform(-500.0, 500.0, 10000)
-        s2 = 10.0 ** rng.uniform(-2.0, 2.0, 10000)
-        _, d2 = nm.xi_derivatives(p, s2)
-        assert np.all(np.isfinite(d2))
-        assert np.all(d2 > 0)
-
-    def test_frozen_second_derivative(self):
-        _, d2 = nm.xi_derivatives(0.0, 1.0)
-        np.testing.assert_allclose(d2, 2.0 - np.pi / 2.0, rtol=1e-13)
-        _, d2 = nm.xi_derivatives(-40.0, 1.0)
-        np.testing.assert_allclose(d2, 0.001243019581625899, rtol=1e-12)
-
-
-class TestGaussianPdf:
-    def test_peak_value(self):
-        assert nm.gaussian_pdf([0.3, -0.4], [0.3, -0.4], 1.0) == 1.0 / (2.0 * np.pi)
-
-    def test_normalizes(self):
-        val, err = integrate.dblquad(
-            lambda y, x: nm.gaussian_pdf([x, y], [0.7, -1.2], 2.0),
-            -15.0, 15.0, -15.0, 15.0, epsabs=1e-10,
-        )
-        np.testing.assert_allclose(val, 1.0, atol=1e-8)
-        assert err < 1e-8
-
-    def test_batched_rows(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((64, 2))
-        vals = nm.gaussian_pdf(x, np.array([0.0, 0.0]), 1.5)
-        single = np.array([nm.gaussian_pdf(row, [0.0, 0.0], 1.5) for row in x])
-        np.testing.assert_allclose(vals, single, rtol=1e-15)
-
-
-class TestAngularPdfH1:
-    def test_uniform_when_mean_absent(self):
-        z = np.array([[1.0, 0.0], [0.0, -1.0]])
-        vals = nm.angular_pdf_h1(z, [0.0, 0.0], 3.0)
-        assert np.all(vals == 1.0 / (2.0 * np.pi))
-
-    def test_normalizes_on_circle(self):
-        for m, s2 in (([1.5, -0.5], 1.0), ([4.0, 3.0], 0.5)):
-            val, err = integrate.quad(
-                lambda th: nm.angular_pdf_h1([np.cos(th), np.sin(th)], m, s2),
-                0.0, 2.0 * np.pi, epsabs=1e-12, limit=200,
-            )
-            np.testing.assert_allclose(val, 1.0, atol=1e-10)
-
-    def test_matches_magnitude_marginalization(self):
-        """Defining relation: integrate the joint density over the magnitude."""
-        m = [1.2, -0.8]
-        for theta in (0.1, 1.0, 2.5, 4.0):
-            ref = float(angular_density_exact(theta, m[0], m[1], 1.7))
-            got = nm.angular_pdf_h1([np.cos(theta), np.sin(theta)], m, 1.7)
-            np.testing.assert_allclose(got, ref, rtol=1e-10)
-
-    def test_extreme_mean_stays_finite_positive(self):
-        """Positive wherever the true value is representable in float64."""
-        m = [35.0, 0.0]
-        for z in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]):
-            v = nm.angular_pdf_h1(z, m, 1.0)
-            assert np.isfinite(v) and v > 0
-        # At 80 sigma the opposing direction genuinely underflows; no NaN/Inf.
-        vals = nm.angular_pdf_h1(
-            np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), [80.0, 0.0], 1.0
-        )
-        assert np.all(np.isfinite(vals)) and np.all(vals >= 0) and vals[0] > 0
-
-
 def _em_grid():
-    """Dense t grid over [-60, 60] with both neighbours of every branch seam
-    and points across the 1/phi overflow edge near t = 38."""
+    """t grid over [-60, 60] with both neighbours of every branch seam and
+    points across the 1/phi overflow edge near t = 38."""
     seams = np.array([-8.0, -4.0, 8.0])
     return np.unique(np.concatenate([
-        np.linspace(-60.0, 60.0, 24001),
+        np.linspace(-60.0, 60.0, 481),
         seams, np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf),
-        np.linspace(37.0, 39.0, 401),
+        np.linspace(37.0, 39.0, 41),
     ]))
 
 
 class TestEmParts:
-    """The unchecked EM kernel against the checked public kernels."""
+    """The EM kernel, which the checked moment kernels wrap, against extended precision."""
 
     @pytest.mark.parametrize("sigma2", [1.0, 0.37, 2.5, 40.0])
-    def test_matches_public_kernels(self, sigma2):
+    def test_matches_oracles(self, sigma2):
         t = _em_grid()
-        s2 = np.full_like(t, sigma2)
         p = t * np.sqrt(sigma2)
         msq = p * p + 0.5 * sigma2
-        log_term, mean, resid = nm._em_parts(p, s2)
-        np.testing.assert_array_equal(log_term, nm.log1p_mills(p / np.sqrt(s2)))
-        np.testing.assert_allclose(mean, nm.cond_mean_norm(p, s2), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(
-            resid + msq, nm.cond_mean_sq_residual(p, s2, msq), rtol=1e-12, atol=0
-        )
+        log_term, mean, resid = nm._em_parts(p, np.full_like(p, sigma2))
+        for i, pi in enumerate(p):
+            np.testing.assert_allclose(
+                log_term[i], float(log1p_mills_exact(pi / np.sqrt(sigma2))), rtol=1e-13, atol=0
+            )
+            np.testing.assert_allclose(
+                mean[i], float(cond_mean_norm_exact(pi, sigma2)), rtol=1e-13, atol=0
+            )
+            # resid + msq cancels p^2 (up to 3600 sigma^2 here) to about sigma^2.
+            np.testing.assert_allclose(
+                resid[i] + msq[i], float(cond_mean_sq_residual_exact(pi, sigma2, msq[i])),
+                rtol=1e-12, atol=0,
+            )
+
+    def test_mean_accuracy_above_moment_branch(self):
+        """Just above t = -4 the moment forms still cancel; pin the error against 50 digits."""
+        t = np.linspace(-4.0, -3.5, 2001)[1:]
+        with mp.workdps(50):
+            for s2 in (1.0, 2.5):
+                p = t * np.sqrt(s2)
+                _, got, _ = nm._em_parts(p, np.full_like(p, s2))
+                for pi, gi in zip(p, got):
+                    ref = cond_mean_norm_exact(pi, s2)
+                    assert abs((mp.mpf(gi) - ref) / ref) < 2e-13, (pi, s2)
 
     def test_seams_continuous_and_finite(self):
         for seam in (-8.0, -4.0, 8.0):
@@ -329,35 +214,77 @@ class TestEmParts:
                 np.testing.assert_allclose(part, part[1], rtol=1e-12)
 
 
+_SIGMA2 = st.floats(1e-3, 1e3)
+
+
+class TestCoreProperties:
+    """Hypothesis properties of the Mills-ratio core over its whole range."""
+
+    @given(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0))
+    def test_log1p_mills_finite_and_increasing(self, a, b):
+        lo, hi = nm.log1p_mills(np.array([min(a, b), max(a, b)]))
+        assert np.isfinite(lo) and np.isfinite(hi)
+        assert lo <= hi
+        if abs(b - a) >= 1e-3:
+            assert lo < hi
+
+    @given(st.sampled_from([-8.0, -4.0, 8.0]), st.integers(1, 1000), _SIGMA2)
+    def test_em_parts_continuous_across_seams(self, seam, ulps, sigma2):
+        below = above = seam
+        for _ in range(ulps):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        t = np.array([below, seam, above])
+        parts = nm._em_parts(t * np.sqrt(sigma2), np.full(3, sigma2))
+        for part in parts:
+            assert np.all(np.isfinite(part))
+            np.testing.assert_allclose(part, part[1], rtol=1e-12)
+
+    @given(st.floats(37.0, 39.0), _SIGMA2)
+    def test_em_parts_finite_across_overflow_edge(self, t, sigma2):
+        """1/phi(t) overflows float64 near t = 37.7; every output stays finite."""
+        p = np.array([t * np.sqrt(sigma2)])
+        log_term, mean, resid = nm._em_parts(p, np.array([sigma2]))
+        assert np.isfinite(log_term[0]) and np.isfinite(mean[0]) and np.isfinite(resid[0])
+        assert mean[0] > p[0]
+
+    @given(st.floats(-2.0, 2.5), st.floats(0.0, 2.0 * np.pi), st.floats(-2.0, 2.0))
+    def test_residual_positive_for_consistent_inputs(self, log_norm_m, theta, log_sigma2):
+        """p = z.m with unit z, so norm_m_sq >= p^2 and the residual stays positive."""
+        norm_m = 10.0**log_norm_m
+        r = nm.cond_mean_sq_residual(norm_m * np.cos(theta), 10.0**log_sigma2, norm_m**2)
+        assert np.isfinite(r) and r > 0
+
+
 class TestValidation:
     def test_sigma2_must_be_positive(self):
         for call in (
-            lambda: nm.xi(1.0, 0.0),
             lambda: nm.cond_mean_norm(1.0, -2.0),
             lambda: nm.cond_mean_sq_residual(1.0, 0.0, 1.0),
-            lambda: nm.xi_derivatives(1.0, -1.0),
-            lambda: nm.gaussian_pdf([1.0, 0.0], [0.0, 0.0], 0.0),
-            lambda: nm.angular_pdf_h1([1.0, 0.0], [1.0, 0.0], -3.0),
         ):
             with pytest.raises(ValueError):
                 call()
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            nm.mills_term(np.nan)
+            nm.log1p_mills(np.nan)
         with pytest.raises(ValueError):
-            nm.xi(np.inf, 1.0)
+            nm.cond_mean_norm(np.inf, 1.0)
         with pytest.raises(ValueError):
-            nm.gaussian_pdf([np.nan, 0.0], [0.0, 0.0], 1.0)
+            nm.cond_mean_sq_residual(1.0, 1.0, np.nan)
 
-    def test_unit_norm_enforced(self):
+    def test_negative_norm_m_sq_rejected(self):
         with pytest.raises(ValueError):
-            nm.angular_pdf_h1([2.0, 0.0], [1.0, 0.0], 1.0)
+            nm.cond_mean_sq_residual(1.0, 1.0, -1.0)
 
     def test_scalar_in_float_out(self):
-        assert isinstance(nm.mills_term(0.3), float)
-        assert isinstance(nm.xi(0.3, 1.0), float)
-        d1, d2 = nm.xi_derivatives(0.3, 1.0)
-        assert isinstance(d1, float) and isinstance(d2, float)
-        arr = nm.mills_term(np.array([0.1, 0.2]))
-        assert isinstance(arr, np.ndarray)
+        """Scalars give floats and arrays keep their shape, as 0-d input runs on 1-d masks."""
+        assert isinstance(nm.log1p_mills(0.3), float)
+        assert isinstance(nm.cond_mean_norm(0.3, 1.0), float)
+        assert isinstance(nm.cond_mean_sq_residual(0.3, 1.0, 1.0), float)
+        for t in (-9.0, 9.0):
+            assert nm.log1p_mills(t) == nm.log1p_mills(np.array([t]))[0]
+        arr = nm.log1p_mills(np.array([0.1, 0.2]))
+        assert isinstance(arr, np.ndarray) and arr.shape == (2,)
+        grid = nm.cond_mean_norm(np.zeros((3, 1)), np.ones(4))
+        assert grid.shape == (3, 4)
+        assert nm.cond_mean_sq_residual(0.0, np.ones(2), np.ones((3, 1))).shape == (3, 2)
