@@ -24,7 +24,6 @@ from .estimation import (
 )
 from .montecarlo import (
     AlgorithmTag,
-    CalibratedThreshold,
     CurvePoint,
     calibrate_thresholds,
     convergence_trace,
@@ -56,7 +55,6 @@ from .scenario import (
 __all__ = [
     "__version__",
     "AlgorithmTag",
-    "CalibratedThreshold",
     "CurvePoint",
     "DetectorKind",
     "EstimationConfig",

@@ -29,7 +29,6 @@ from .detectors import DetectorKind
 from .estimation import EstimationConfig
 from .montecarlo import (
     AlgorithmTag,
-    CalibratedThreshold,
     _calibration_floor,
     _check_calibration_size,
     calibrate_thresholds,
@@ -110,7 +109,7 @@ def _add_shared(sub, scenario=True, detectors=True, calibration=True):
         sub.add_argument("--pfa", type=float, help="nominal false-alarm rate (default 0.01)")
     if calibration:
         sub.add_argument("--cal-trials", type=int, help="calibration trials (default ceil(100/pfa))")
-        sub.add_argument("--cal-seed", type=int, help="calibration seed (default seed + 1)")
+        sub.add_argument("--cal-seed", type=int, help="calibration seed (default: --seed plus one)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -292,7 +291,7 @@ def _offset_fields(args) -> dict:
     offset = _number(args, "offset", 0.0, float)
     mode = "literal" if args.offset_mode is None else args.offset_mode
     _check_offset(offset, mode)
-    seed = _number(args, "offset_seed", None, int)
+    seed = _number(args, "offset_seed", None, int, minimum=0)
     return {"offset": offset, "offset_mode": mode, "offset_seed": seed}
 
 
@@ -344,7 +343,7 @@ def _resolve(args) -> RunConfig:
             bin_label=_number(args, "bin_label", None, int), **_offset_fields(args),
         )
 
-    seed = _number(args, "seed", 0, int)
+    seed = _number(args, "seed", 0, int, minimum=0)
     snr_db = _number(args, "snr_db", 10.0 if command == "convergence" else 0.0, float)
     scen = _build_scenario(args, snr_db)
     settings = {"scenario": scen, "estimation": _build_estimation(args, scen)}
@@ -370,7 +369,7 @@ def _resolve(args) -> RunConfig:
 
     settings.update(
         cal_trials=_calibration_size(args, "cal_trials", pfa, _calibration_floor(pfa)),
-        cal_seed=_number(args, "cal_seed", seed + 1, int),
+        cal_seed=_number(args, "cal_seed", seed + 1, int, minimum=0),
     )
     if command == "cfar-sweep":
         if scen.delta not in (None, 0.0) or scen.texture_shape is not None:
@@ -396,6 +395,11 @@ def _resolve(args) -> RunConfig:
                 stride=_number(args, "stride", scen.k, int, minimum=1),
                 **_offset_fields(args), **settings,
             )
+        # Only a recorded sweep has bins, windows or samples to offset.
+        unread = [key for key in ("bins", "stride", "offset", "offset_mode", "offset_seed")
+                  if getattr(args, key) is not None]
+        if unread:
+            raise ConfigError(f"synthetic mode does not take: {', '.join(unread)}")
         if (args.delta_grid is None) == (args.q_grid is None):
             raise ConfigError("exactly one of --delta-grid and --q-grid is required")
         settings.update(_parse_grid(args, scen, "delta" if args.delta_grid is not None else "q"))
@@ -427,14 +431,6 @@ def _finish(out: str, payload: dict) -> int:
     write_manifest(manifest, payload)
     print(out, manifest, sep="\n")
     return EXIT_OK
-
-
-def _threshold_etas(thresholds: dict) -> dict:
-    """Each detector's eta, or its list of per-SNR etas (the clairvoyant detector)."""
-    return {
-        kind.value: th.eta if isinstance(th, CalibratedThreshold) else [t.eta for t in th]
-        for kind, th in thresholds.items()
-    }
 
 
 def _progress(message: str):
@@ -524,8 +520,7 @@ def _run_cfar_sweep(config: RunConfig) -> int:
         )
     write_curves_csv(config.out, curves)
     return _finish(config.out, _manifest(
-        config, started, calibration_scenario=white,
-        thresholds=_threshold_etas(thresholds), **results,
+        config, started, calibration_scenario=white, thresholds=thresholds, **results,
     ))
 
 
@@ -541,7 +536,7 @@ def _run_pd_curve(config: RunConfig) -> int:
         seed=config.seed, cal_seed=config.cal_seed, workers=config.workers,
     )
     write_curves_csv(config.out, curves)
-    return _finish(config.out, _manifest(config, started, thresholds=_threshold_etas(thresholds)))
+    return _finish(config.out, _manifest(config, started, thresholds=thresholds))
 
 
 def _run_convergence(config: RunConfig) -> int:

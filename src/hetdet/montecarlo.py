@@ -40,7 +40,6 @@ _WILSON_Z = 1.96
 __all__ = [
     "AlgorithmTag",
     "BLOCK_SIZE",
-    "CalibratedThreshold",
     "CurvePoint",
     "calibrate_thresholds",
     "convergence_trace",
@@ -55,28 +54,6 @@ __all__ = [
     "write_manifest",
     "write_trace_csv",
 ]
-
-
-@dataclass(frozen=True)
-class CalibratedThreshold:
-    """A threshold with the provenance needed to reproduce it."""
-
-    detector: DetectorKind
-    eta: float
-    nominal_pfa: float
-    trials: int
-    seed: int
-    calibration_scenario: ScenarioConfig
-
-    def __post_init__(self):
-        if not isinstance(self.detector, DetectorKind):
-            raise ValueError("detector must be a DetectorKind")
-        if not np.isfinite(self.eta):
-            raise ValueError("eta must be finite")
-        if not (0.0 < self.nominal_pfa < 1.0):
-            raise ValueError("nominal_pfa must lie in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
 
 
 @dataclass(frozen=True)
@@ -228,16 +205,14 @@ def calibrate_thresholds(
     seed: int,
     workers: int = 1,
 ) -> dict:
-    """Calibrate each requested detector from one shared null simulation."""
+    """Calibrate each requested detector from one shared null simulation.
+
+    Returns {kind: eta}, each eta a float.
+    """
     kinds = list(kinds)
     _check_calibration_size(trials, nominal_pfa)
     stats = sample_statistics(kinds, cfg, scen, Hypothesis.H0, trials, seed, workers)
-    return {
-        kind: CalibratedThreshold(
-            kind, _rank_threshold(stats[kind], nominal_pfa), nominal_pfa, trials, seed, scen
-        )
-        for kind in kinds
-    }
+    return {kind: _rank_threshold(stats[kind], nominal_pfa) for kind in kinds}
 
 
 def _h0_abscissa(scen: ScenarioConfig) -> float:
@@ -248,15 +223,15 @@ def exceedance_curves(kinds, thresholds: dict, samples) -> dict:
     """Exceedance-rate curves from (abscissa, {kind: statistics}) samples.
 
     `samples` may be a generator, so only one point's statistics need be
-    held at a time.  A threshold is one CalibratedThreshold, or a sequence
-    holding one per point.  A statistic counts when it strictly exceeds its
-    threshold, so a tie is no detection.  Returns {kind: [CurvePoint, ...]}.
+    held at a time.  A threshold is one eta, or a sequence holding one per
+    point.  A statistic counts when it strictly exceeds its threshold, so a
+    tie is no detection.  Returns {kind: [CurvePoint, ...]}.
     """
     curves = {kind: [] for kind in kinds}
     for i, (abscissa, stats) in enumerate(samples):
         for kind in kinds:
             th = thresholds[kind]
-            eta = th.eta if isinstance(th, CalibratedThreshold) else th[i].eta
+            eta = th if np.ndim(th) == 0 else th[i]
             exceed = int(np.count_nonzero(stats[kind] > eta))
             curves[kind].append(curve_point(abscissa, exceed, stats[kind].size))
     return curves
@@ -315,27 +290,22 @@ def pd_curves(
     cal_trials: int,
     trials: int,
     seed: int,
-    cal_seed: int | None = None,
+    cal_seed: int,
     workers: int = 1,
 ):
     """Pd-versus-SNR curves for several detectors with shared simulations.
 
     Thresholds are calibrated under the null of `scen` itself, the matched
-    scenario, from a stream separate from the detection trials.
-    At each SNR every requested statistic sees the same bursts, so
-    comparisons across detectors and along the grid are paired.  Returns
-    (curves, thresholds): {kind: [CurvePoint, ...]} and {kind:
-    CalibratedThreshold} (a tuple of them, one per SNR, for the clairvoyant
-    detector).
+    scenario, from the stream `cal_seed`, which should differ from the
+    detection trials' `seed`.  At each SNR every requested statistic sees the
+    same bursts, so comparisons across detectors and along the grid are
+    paired.  Returns (curves, thresholds): {kind: [CurvePoint, ...]} and
+    {kind: eta} (a tuple of etas, one per SNR, for the clairvoyant detector).
     """
     kinds = list(kinds)
     if len(set(kinds)) != len(kinds) or not kinds:
         raise ValueError("kinds must be non-empty and unique")
     points = _snr_points(scen, snr_grid)
-    _check_calibration_size(cal_trials, nominal_pfa)
-    if cal_seed is None:
-        cal_seed = seed + 1
-
     thresholds = {}
     fixed = [k for k in kinds if k is not DetectorKind.CD]
     if fixed:

@@ -175,13 +175,13 @@ def _log1p_mills_core(t: np.ndarray, cf_edge: float = _BRANCH):
     log_term = np.log1p(tr)
     tp = tail2 = None
     pos = t >= _BRANCH
-    if np.any(pos):
+    if pos.any():
         tp = t[pos]
         # 1/phi(t) overflows near t = 38, so stay in the log domain.
         lm = np.log(tp) + log_ndtr(tp) + 0.5 * tp * tp + 0.5 * _LOG_2PI
         log_term[pos] = lm + np.log1p(np.exp(-lm))
     neg = t <= -cf_edge
-    if np.any(neg):
+    if neg.any():
         s = -t[neg]
         tail1, tail2 = _cf_tails(s)
         deep = s >= _BRANCH

@@ -180,7 +180,7 @@ def test_06_detection_hierarchy_moderate_heterogeneity():
     # defined as ||m||^2 / sigma_n2.  The grid makes twelve simultaneous
     # comparisons, so a Bonferroni bound keeps the chance that a correct
     # program fails this clause at that of a single 3-sigma check.
-    eta_ed = thresholds[D.ED].eta
+    eta_ed = thresholds[D.ED]
     ed_oracle = [energy_detector_sf(eta_ed, scen.sigma_n2 * 10.0 ** (s / 10.0), K,
                                     scen.delta, scen.sigma_n2) for s in grid]
     ed_sigmas = max(abs(p.estimate - q) / np.sqrt(q * (1.0 - q) / TRIALS)

@@ -188,6 +188,24 @@ class TestParseConfig:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: recorded mode does not take")
 
+    @pytest.mark.parametrize(
+        "file_cfg, flags, given",
+        [({}, ["--bins", "3,4", "--stride", "5"], "bins, stride"), ({"offset": 2.0}, [], "offset"),
+         ({}, ["--offset-mode", "noise", "--offset-seed", "4"], "offset_mode, offset_seed"),
+         ({"offset_seed": 4}, [], "offset_seed")],
+    )
+    def test_synthetic_mode_refuses_recorded_settings(self, tmp_path, capsys, file_cfg, flags,
+                                                      given):
+        """A synthetic sweep reads no bins, stride or offset: refuse them."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        args = ["cfar-sweep", "--config", str(path), "--delta-grid", "0", "--detectors", "ed",
+                *flags, "--out", str(tmp_path / "s.csv")]
+        with pytest.raises(ConfigError, match=f"synthetic mode does not take: {given}$"):
+            parse_config(args)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: synthetic mode does not take: {given}\n"
+
     @pytest.mark.parametrize("file_cfg, flags", [({}, ["--bins", "0,0"]), ({"bins": [2, 1, 2]}, [])])
     def test_duplicate_recorded_bins_rejected(self, tmp_path, capsys, file_cfg, flags):
         path = tmp_path / "cfg.json"
@@ -232,6 +250,26 @@ class TestParseConfig:
         path.write_text(json.dumps({"snr_grid": [1.0], **values}))
         with pytest.raises(ConfigError, match=next(iter(values))):
             parse_config(["pd-curve", "--config", str(path), "--out", str(tmp_path / "c.csv")])
+
+    @pytest.mark.parametrize(
+        "command, file_cfg, flags, key",
+        [(["cfar-sweep", "--delta-grid", "0"], {}, ["--seed", "-1"], "seed"),
+         (["cfar-sweep", "--delta-grid", "0"], {"cal_seed": -1}, [], "cal_seed"),
+         (["calibrate"], {"seed": -1}, [], "seed"),
+         (["power-trace", "--recorded", FIXTURE, "--offset-mode", "noise"], {},
+          ["--offset-seed", "-3"], "offset_seed"),
+         (["cfar-sweep", "--recorded", FIXTURE, "--offset-mode", "noise"], {"offset_seed": -3},
+          [], "offset_seed")],
+    )
+    def test_negative_seed_rejected(self, tmp_path, capsys, command, file_cfg, flags, key):
+        """A negative seed is a configuration error, found before any simulation."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        args = [*command, "--config", str(path), *flags, "--out", str(tmp_path / "c.csv")]
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 0$"):
+            parse_config(args)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {key} must be >= 0\n"
 
     @pytest.mark.parametrize(
         "file_cfg, flags",
@@ -373,8 +411,24 @@ class TestCalibrateCommand:
             (DetectorKind.ED, DetectorKind.CHD), None,
             ScenarioConfig(k=8, delta=0.0), 0.1, 1000, 3,
         )
-        assert payload["thresholds"]["ed"]["eta"] == expected[DetectorKind.ED].eta
-        assert payload["thresholds"]["chd"]["eta"] == expected[DetectorKind.CHD].eta
+        assert payload["thresholds"] == {"ed": expected[DetectorKind.ED],
+                                         "chd": expected[DetectorKind.CHD]}
+
+    def test_thresholds_match_pd_curve_calibration(self, tmp_path, capsys):
+        """calibrate --trials N --seed S writes the thresholds pd-curve calibrates
+        with --cal-trials N --cal-seed S under the same scenario."""
+        shared = ["--detectors", "ed,gd-he", "--k", "8", "--delta", "10", "--pfa", "0.1"]
+        thr = str(tmp_path / "thr.json")
+        assert main(["calibrate", *shared, "--trials", "1000", "--seed", "7", "--workers", "1",
+                     "--out", thr]) == 0
+        assert main(["pd-curve", *shared, "--snr-grid", "0", "--cal-trials", "1000",
+                     "--cal-seed", "7", "--trials", "50", "--workers", "2",
+                     "--out", str(tmp_path / "pd.csv")]) == 0
+        capsys.readouterr()
+        calibrated = json.loads(_read_bytes(thr))["thresholds"]
+        assert set(calibrated) == {"ed", "gd-he"}
+        manifest = json.loads(_read_bytes(str(tmp_path / "pd.manifest.json")))
+        assert calibrated == manifest["thresholds"]
 
 
 class TestCfarSweepCommand:

@@ -14,7 +14,6 @@ from hetdet.detectors import DetectorKind, NonFiniteStatistic, statistics_batch
 from hetdet.estimation import EstimationConfig
 from hetdet.montecarlo import (
     AlgorithmTag,
-    CalibratedThreshold,
     CurvePoint,
     _rank_threshold,
     calibrate_thresholds,
@@ -101,13 +100,12 @@ class TestCurvePoint:
 
 class TestExceedanceCurves:
     def test_strict_threshold(self):
-        th = CalibratedThreshold(DetectorKind.ED, 1.0, 0.05, 100, 0, WHITE)
         stats = {DetectorKind.ED: np.array([1.5, 1.0, 0.5])}
-        curves = exceedance_curves([DetectorKind.ED], {DetectorKind.ED: th}, [(0.0, stats)])
+        curves = exceedance_curves([DetectorKind.ED], {DetectorKind.ED: 1.0}, [(0.0, stats)])
         # Only 1.5 exceeds 1.0: a tie is no detection.
         assert curves[DetectorKind.ED][0].estimate == 1 / 3
-        lower = CalibratedThreshold(DetectorKind.ED, 0.5, 0.05, 100, 0, WHITE)
-        per_point = {DetectorKind.ED: (th, lower)}
+        # One threshold per point may come in any sequence, here an array.
+        per_point = {DetectorKind.ED: np.array([1.0, 0.5])}
         curves = exceedance_curves([DetectorKind.ED], per_point, [(0.0, stats), (1.0, stats)])
         assert [pt.estimate for pt in curves[DetectorKind.ED]] == [1 / 3, 2 / 3]
 
@@ -136,32 +134,21 @@ class TestCalibration:
     def test_energy_threshold_matches_chi_square_quantile(self):
         th = _ed_threshold(0.05, 4000, seed=3)
         analytic = sps.chi2.ppf(0.95, 2 * WHITE.k)
-        assert abs(th.eta - analytic) / analytic < 0.05
-
-    def test_provenance_recorded(self):
-        th = _ed_threshold(0.05, 2000, seed=9)
-        assert th.detector is DetectorKind.ED
-        assert th.nominal_pfa == 0.05
-        assert th.trials == 2000
-        assert th.seed == 9
-        assert th.calibration_scenario == WHITE
+        assert isinstance(th, float)
+        assert abs(th - analytic) / analytic < 0.05
 
     def test_trials_floor_enforced(self):
         with pytest.raises(ValueError, match="ceil"):
             _ed_threshold(0.01, 2000, seed=0)
+        with pytest.raises(ValueError, match=r"nominal_pfa must lie in \(0, 1\)"):
+            _ed_threshold(1.5, 2000, seed=0)
 
     def test_shared_calibration_matches_single(self):
         kinds = [DetectorKind.ED, DetectorKind.CHD]
         shared = calibrate_thresholds(kinds, None, WHITE, 0.05, 2000, seed=4)
         for kind in kinds:
             alone = calibrate_thresholds([kind], None, WHITE, 0.05, 2000, seed=4)[kind]
-            assert shared[kind].eta == alone.eta
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            CalibratedThreshold(DetectorKind.ED, np.nan, 0.05, 100, 0, WHITE)
-        with pytest.raises(ValueError):
-            CalibratedThreshold(DetectorKind.ED, 1.0, 1.5, 100, 0, WHITE)
+            assert shared[kind] == alone
 
 
 _sample_block = montecarlo._sample_block
@@ -313,10 +300,12 @@ class TestPdCurves:
         kinds = [DetectorKind.CD, DetectorKind.ED]
         curves, thresholds = pd_curves(
             kinds, None, scen, [0.0, 10.0, 20.0],
-            nominal_pfa=0.05, cal_trials=2000, trials=1000, seed=29,
+            nominal_pfa=0.05, cal_trials=2000, trials=1000, seed=29, cal_seed=30,
         )
-        assert isinstance(thresholds[DetectorKind.ED], CalibratedThreshold)
-        assert len(thresholds[DetectorKind.CD]) == 3
+        assert isinstance(thresholds[DetectorKind.ED], float)
+        cd = thresholds[DetectorKind.CD]
+        assert isinstance(cd, tuple) and len(cd) == 3
+        assert all(isinstance(eta, float) for eta in cd)
         for kind in kinds:
             assert len(curves[kind]) == 3
             for pt in curves[kind]:
@@ -329,10 +318,10 @@ class TestPdCurves:
         scen = ScenarioConfig(k=16, delta=10.0)
         _, ths = pd_curves(
             [DetectorKind.ED], None, scen, [5.0],
-            nominal_pfa=0.05, cal_trials=2000, trials=500, seed=30,
+            nominal_pfa=0.05, cal_trials=2000, trials=500, seed=30, cal_seed=31,
         )
-        assert ths[DetectorKind.ED].seed == 31
-        assert ths[DetectorKind.ED].calibration_scenario == scen
+        # The matched scenario's null, drawn from the calibration stream.
+        assert ths == calibrate_thresholds([DetectorKind.ED], None, scen, 0.05, 2000, 31)
 
 
 class TestConvergenceTrace:
@@ -401,10 +390,11 @@ class TestWriters:
         import json
 
         path = tmp_path / "m.json"
-        th = CalibratedThreshold(DetectorKind.ED, 1.5, 0.05, 2000, 7, WHITE)
-        write_manifest(path, {"threshold": th, "detectors": [DetectorKind.AGD], "grid": np.array([1.0, 2.0])})
+        thresholds = {DetectorKind.ED: 1.5, DetectorKind.CD: (2.0, 2.5)}
+        write_manifest(path, {"thresholds": thresholds, "scenario": WHITE,
+                              "detectors": [DetectorKind.AGD], "grid": np.array([1.0, 2.0])})
         data = json.loads(path.read_text())
-        assert data["threshold"]["detector"] == "ed"
-        assert data["threshold"]["calibration_scenario"]["k"] == 16
+        assert data["thresholds"] == {"ed": 1.5, "cd": [2.0, 2.5]}
+        assert data["scenario"]["k"] == 16 and data["scenario"]["delta"] == 0.0
         assert data["detectors"] == ["agd"]
         assert data["grid"] == [1.0, 2.0]
