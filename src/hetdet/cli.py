@@ -8,7 +8,8 @@ and `power-trace` exports per-pulse powers of a recorded series.
 
 Options may come from a JSON config file (`--config`) whose keys are the
 subcommand's flag names with underscores; explicit flags override file
-values, and any other key is rejected.  Progress goes to standard error;
+values, and any other key is rejected.  A run also refuses every setting,
+flag or key, that it would not read.  Progress goes to standard error;
 standard output carries only the paths of written artifacts.
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -58,7 +59,7 @@ class RunConfig:
 
     A command fills only the fields it reads; every other field is None, so
     the manifest, which records every field that is set, lists exactly the
-    settings the run used.
+    settings the run used, and `parse_config` refuses a setting it would not.
     """
 
     command: str
@@ -186,11 +187,9 @@ def _merge_config_file(args):
             setattr(args, key, value)
 
 
-def _number(args, key, default, kind, minimum=None):
-    """The number `key` (flag, else config file, else `default`) as a `kind`."""
-    raw = getattr(args, key, None)
-    if raw is None:
-        raw = default
+def _number(given, key, default, kind, minimum=None):
+    """The number `key`, taken out of `given` (else `default`), as a `kind`."""
+    raw = given.pop(key, default)
     if raw is None:
         return None
     try:
@@ -238,6 +237,8 @@ def _parse_detectors(raw, recorded: bool) -> tuple:
 
 
 def _check_out_path(out: str):
+    if os.path.isdir(out):
+        raise ConfigError(f"output path is a directory: {out}")
     parent = os.path.dirname(out) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"output directory does not exist: {parent}")
@@ -245,18 +246,25 @@ def _check_out_path(out: str):
         raise ConfigError(f"output directory is not writable: {parent}")
 
 
-def _build_scenario(args, snr_db: float) -> ScenarioConfig:
-    delta = _number(args, "delta", None, float)
-    texture = _number(args, "texture_shape", None, float)
+def _build_scenario(given, command: str, recorded: bool) -> ScenarioConfig:
+    """The burst scenario, from the settings the run reads.
+
+    A `cfar-sweep` takes its interference from its grids or its file, so its
+    scenario is white noise; a recorded one reads no target SNR or phase either.
+    """
+    white = command == "cfar-sweep"
+    delta = None if white else _number(given, "delta", None, float)
+    texture = None if white else _number(given, "texture_shape", None, float)
     if delta is None and texture is None:
         delta = 0.0
+    snr_db = 10.0 if command == "convergence" else 0.0
     return ScenarioConfig(
-        k=_number(args, "k", 16, int),
+        k=_number(given, "k", 16, int),
         delta=delta,
         texture_shape=texture,
-        sigma_n2=_number(args, "sigma_n2", 1.0, float),
-        snr_db=snr_db,
-        target_phase=_number(args, "target_phase", 0.0, float),
+        sigma_n2=_number(given, "sigma_n2", 1.0, float),
+        snr_db=snr_db if recorded else _number(given, "snr_db", snr_db, float),
+        target_phase=0.0 if recorded else _number(given, "target_phase", 0.0, float),
     )
 
 
@@ -269,13 +277,13 @@ def _grid_scenario(scen: ScenarioConfig, grid_kind: str, value: float) -> Scenar
     return replace(scen, snr_db=value)
 
 
-def _parse_grid(args, scen: ScenarioConfig, grid_kind: str) -> dict:
+def _parse_grid(given, scen: ScenarioConfig, grid_kind: str) -> dict:
     """The `<grid_kind>_grid` fields, each value checked by the scenario it will build.
 
     A bad value is a configuration error, found before any simulation runs.
     """
     key = f"{grid_kind}_grid"
-    grid = _parse_list(getattr(args, key), key, float)
+    grid = _parse_list(given.pop(key, None), key, float)
     if not grid:
         raise ConfigError(f"--{grid_kind}-grid needs at least one value")
     try:
@@ -286,25 +294,26 @@ def _parse_grid(args, scen: ScenarioConfig, grid_kind: str) -> dict:
     return {"grid": grid, "grid_kind": grid_kind}
 
 
-def _offset_fields(args) -> dict:
+def _offset_fields(given) -> dict:
     """The recorded-sample offset settings, checked before any file is read."""
-    offset = _number(args, "offset", 0.0, float)
-    mode = "literal" if args.offset_mode is None else args.offset_mode
-    _check_offset(offset, mode)
-    seed = _number(args, "offset_seed", None, int, minimum=0)
+    offset = _number(given, "offset", 0.0, float)
+    mode = given.pop("offset_mode", "literal")
+    draws = mode == "noise" and offset != 0.0  # only a draw reads offset_seed
+    seed = _number(given, "offset_seed", None, int, minimum=0) if draws else None
+    _check_offset(offset, mode, seed)
     return {"offset": offset, "offset_mode": mode, "offset_seed": seed}
 
 
-def _build_estimation(args, scen: ScenarioConfig) -> EstimationConfig:
-    paper_init = False if args.paper_init is None else args.paper_init
+def _build_estimation(given, scen: ScenarioConfig) -> EstimationConfig:
+    paper_init = given.pop("paper_init", False)
     if not isinstance(paper_init, bool):
         raise ConfigError("paper_init must be a boolean")
-    return EstimationConfig(c0=_number(args, "c0", scen.sigma_n2, float), paper_init=paper_init)
+    return EstimationConfig(c0=_number(given, "c0", scen.sigma_n2, float), paper_init=paper_init)
 
 
-def _calibration_size(args, key: str, pfa: float, default: int) -> int:
+def _calibration_size(given, key: str, pfa: float, default: int) -> int:
     """The trial count `key`, held to montecarlo's calibration floor at `pfa`."""
-    trials = _number(args, key, default, int, minimum=1)
+    trials = _number(given, key, default, int, minimum=1)
     try:
         _check_calibration_size(trials, pfa)
     except ValueError as exc:
@@ -315,97 +324,88 @@ def _calibration_size(args, key: str, pfa: float, default: int) -> int:
 def parse_config(argv=None) -> RunConfig:
     """Parse flags (and an optional config file) into a resolved RunConfig.
 
-    Each command resolves only the settings it reads.
+    `_resolve` takes out each setting it reads; one left over is refused.
     """
     args = _build_parser().parse_args(argv)
     if args.config:
         _merge_config_file(args)
+    command = mode = args.command
+    given = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "config")}
+    if mode == "cfar-sweep":
+        mode = "recorded mode" if "recorded" in given else "synthetic mode"
     try:
-        return _resolve(args)
+        config = _resolve(command, given)
     except ValueError as exc:
         # The library's own checks (scenario, estimation, offset, tags) reject
         # a bad value before any simulation: a configuration error.
         raise ConfigError(str(exc)) from None
+    if given:
+        raise ConfigError(f"{mode} does not take: {', '.join(given)}")
+    return config
 
 
-def _resolve(args) -> RunConfig:
-    """The settings the command reads; every other RunConfig field stays None."""
-    command, out = args.command, args.out
+def _resolve(command: str, given: dict) -> RunConfig:
+    """The settings the command reads, each taken out of `given`; the rest stay None."""
+    out = given.pop("out", None)
     if out is None:
         raise ConfigError("--out is required")
     _check_out_path(out)
+    recorded = given.pop("recorded", None)
 
     if command == "power-trace":
-        if args.recorded is None:
+        if recorded is None:
             raise ConfigError("--recorded is required for power-trace")
         return RunConfig(
-            command, out, recorded=args.recorded,
-            bin_label=_number(args, "bin_label", None, int), **_offset_fields(args),
+            command, out, recorded=recorded,
+            bin_label=_number(given, "bin_label", None, int), **_offset_fields(given),
         )
 
-    seed = _number(args, "seed", 0, int, minimum=0)
-    snr_db = _number(args, "snr_db", 10.0 if command == "convergence" else 0.0, float)
-    scen = _build_scenario(args, snr_db)
-    settings = {"scenario": scen, "estimation": _build_estimation(args, scen)}
+    seed = _number(given, "seed", 0, int, minimum=0)
+    scen = _build_scenario(given, command, recorded is not None)
+    settings = {"scenario": scen, "estimation": _build_estimation(given, scen)}
     if command == "convergence":
-        algorithm = AlgorithmTag.parse("alg1" if args.algorithm is None else args.algorithm)
+        algorithm = AlgorithmTag.parse(given.pop("algorithm", "alg1"))
         return RunConfig(
-            command, out, trials=_number(args, "trials", 10000, int, minimum=1), seed=seed,
+            command, out, trials=_number(given, "trials", 10000, int, minimum=1), seed=seed,
             workers=1, algorithm=algorithm, **settings,
         )
 
-    pfa = _number(args, "pfa", 0.01, float)
+    pfa = _number(given, "pfa", 0.01, float)
     if not 0.0 < pfa < 1.0:
         raise ConfigError("pfa must lie in (0, 1)")
-    recorded = getattr(args, "recorded", None)
-    detectors = _parse_detectors(args.detectors, recorded is not None)
+    detectors = _parse_detectors(given.pop("detectors", None), recorded is not None)
     settings.update(
         detectors=detectors, pfa=pfa,
-        workers=_number(args, "workers", os.cpu_count() or 1, int, minimum=1),
+        workers=_number(given, "workers", os.cpu_count() or 1, int, minimum=1),
     )
     if command == "calibrate":
-        trials = _calibration_size(args, "trials", pfa, 10000)
+        trials = _calibration_size(given, "trials", pfa, 10000)
         return RunConfig(command, out, trials=trials, seed=seed, **settings)
 
     settings.update(
-        cal_trials=_calibration_size(args, "cal_trials", pfa, _calibration_floor(pfa)),
-        cal_seed=_number(args, "cal_seed", seed + 1, int, minimum=0),
+        cal_trials=_calibration_size(given, "cal_trials", pfa, _calibration_floor(pfa)),
+        cal_seed=_number(given, "cal_seed", seed + 1, int, minimum=0),
     )
+    if recorded is not None:
+        bad = [k.value for k in detectors if k.requires_truth]
+        if bad:
+            raise ConfigError(f"recorded data carries no ground truth for: {', '.join(bad)}")
+        bins = _parse_list(given.pop("bins", None), "bins", int)
+        if len(set(bins)) != len(bins):
+            raise ConfigError("duplicate range bins")
+        # A recorded sweep: its windows come from the file; seed only sets cal_seed's default.
+        return RunConfig(
+            command, out, recorded=recorded, bins=bins or None,
+            stride=_number(given, "stride", scen.k, int, minimum=1),
+            **_offset_fields(given), **settings,
+        )
     if command == "cfar-sweep":
-        if scen.delta not in (None, 0.0) or scen.texture_shape is not None:
-            raise ConfigError("cfar-sweep takes its interference models from the grids")
-        if recorded is not None:
-            if args.delta_grid is not None or args.q_grid is not None:
-                raise ConfigError("recorded mode does not take synthetic grids")
-            # The windows come from the file: no trial count, target SNR or
-            # target phase reaches a recorded sweep.
-            unread = [key for key in ("trials", "snr_db", "target_phase")
-                      if getattr(args, key) is not None]
-            if unread:
-                raise ConfigError(f"recorded mode does not take: {', '.join(unread)}")
-            bad = [k.value for k in detectors if k.requires_truth]
-            if bad:
-                raise ConfigError(f"recorded data carries no ground truth for: {', '.join(bad)}")
-            bins = _parse_list(args.bins, "bins", int)
-            if len(set(bins)) != len(bins):
-                raise ConfigError("duplicate range bins")
-            # The seed only sets the default calibration seed.
-            return RunConfig(
-                command, out, recorded=recorded, bins=bins or None,
-                stride=_number(args, "stride", scen.k, int, minimum=1),
-                **_offset_fields(args), **settings,
-            )
-        # Only a recorded sweep has bins, windows or samples to offset.
-        unread = [key for key in ("bins", "stride", "offset", "offset_mode", "offset_seed")
-                  if getattr(args, key) is not None]
-        if unread:
-            raise ConfigError(f"synthetic mode does not take: {', '.join(unread)}")
-        if (args.delta_grid is None) == (args.q_grid is None):
+        if ("delta_grid" in given) == ("q_grid" in given):
             raise ConfigError("exactly one of --delta-grid and --q-grid is required")
-        settings.update(_parse_grid(args, scen, "delta" if args.delta_grid is not None else "q"))
+        settings.update(_parse_grid(given, scen, "delta" if "delta_grid" in given else "q"))
     else:
-        settings.update(_parse_grid(args, scen, "snr"))
-    trials = _number(args, "trials", 10000, int, minimum=1)
+        settings.update(_parse_grid(given, scen, "snr"))
+    trials = _number(given, "trials", 10000, int, minimum=1)
     return RunConfig(command, out, trials=trials, seed=seed, **settings)
 
 
@@ -478,12 +478,12 @@ def _run_calibrate(config: RunConfig) -> int:
 
 def _run_cfar_sweep(config: RunConfig) -> int:
     started = time.monotonic()
-    white = replace(config.scenario, delta=0.0, texture_shape=None)
 
     def calibrate():
+        # The sweep's own scenario is white noise: it reads no delta or texture shape.
         _progress(f"calibrating under white noise: {config.cal_trials} trials")
         return calibrate_thresholds(
-            config.detectors, config.estimation, white,
+            config.detectors, config.estimation, config.scenario,
             config.pfa, config.cal_trials, config.cal_seed, config.workers,
         )
 
@@ -509,7 +509,7 @@ def _run_cfar_sweep(config: RunConfig) -> int:
         results = {"bins": [int(b) for b in bins], "windows_per_bin": window_counts}
     else:
         thresholds = calibrate()
-        scens = [_grid_scenario(white, config.grid_kind, value) for value in config.grid]
+        scens = [_grid_scenario(config.scenario, config.grid_kind, value) for value in config.grid]
         _progress(
             f"estimating pfa on {len(scens)} {config.grid_kind} points, "
             f"{config.trials} trials each"
@@ -520,7 +520,7 @@ def _run_cfar_sweep(config: RunConfig) -> int:
         )
     write_curves_csv(config.out, curves)
     return _finish(config.out, _manifest(
-        config, started, calibration_scenario=white, thresholds=thresholds, **results,
+        config, started, calibration_scenario=config.scenario, thresholds=thresholds, **results,
     ))
 
 

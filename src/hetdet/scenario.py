@@ -304,14 +304,16 @@ def _numbered_rows(path) -> list:
         return [(n, line) for n, line in enumerate(fh, start=1) if n > 1 and line.strip()]
 
 
-def _check_offset(offset: float, offset_mode: str):
-    """Reject an offset `ingest_recorded` cannot apply."""
+def _check_offset(offset: float, offset_mode: str, seed: int | None):
+    """Reject an offset `ingest_recorded` cannot apply, or not reproducibly."""
     if offset_mode not in ("literal", "noise"):
         raise ValueError("offset_mode must be 'literal' or 'noise'")
     if not np.isfinite(offset):
         raise ValueError("offset must be finite")
     if offset_mode == "noise" and offset < 0:
         raise ValueError("noise offset must be >= 0")
+    if offset_mode == "noise" and offset > 0 and seed is None:
+        raise ValueError("a nonzero noise offset needs a seed")
 
 
 def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", seed: int | None = None) -> RecordedSeries:
@@ -321,9 +323,9 @@ def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", see
     (bin, pulse) cell; every bin must cover pulses 0..T-1 exactly once.  A
     nonzero offset is applied either literally (added to every complex sample)
     or, with mode "noise", as an independent white complex Gaussian floor of
-    total power `offset` (variance offset/2 per axis) drawn from `seed`.
+    total power `offset` (variance offset/2 per axis) drawn from the required `seed`.
     """
-    _check_offset(offset, offset_mode)
+    _check_offset(offset, offset_mode, seed)
     with open(path, encoding="utf-8") as fh:
         if [c.strip().lower() for c in fh.readline().split(",")] != ["bin_index", "pulse_index", "re", "im"]:
             raise ValueError(f"{path}: expected header 'bin_index, pulse_index, re, im'")

@@ -158,14 +158,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config(["cfar-sweep", "--delta-grid", "0", "--q-grid", "1", "--out", out])
 
-    def test_cfar_sweep_rejects_base_model_flags(self, tmp_path):
-        with pytest.raises(ConfigError, match="grids"):
-            parse_config(["cfar-sweep", "--delta", "5", "--delta-grid", "0,5",
+    @pytest.mark.parametrize(
+        "flags, given",
+        [(["--delta", "5"], "delta"), (["--delta", "0"], "delta"),
+         (["--texture-shape", "2"], "texture_shape")],
+    )
+    def test_cfar_sweep_rejects_base_model_flags(self, tmp_path, flags, given):
+        """A sweep takes its interference from its grids: it reads no base model, at any value."""
+        with pytest.raises(ConfigError, match=f"^synthetic mode does not take: {given}$"):
+            parse_config(["cfar-sweep", *flags, "--delta-grid", "0,5",
                           "--out", str(tmp_path / "s.csv")])
 
     def test_recorded_mode_conflicts(self, tmp_path):
         out = str(tmp_path / "s.csv")
-        with pytest.raises(ConfigError, match="grids"):
+        with pytest.raises(ConfigError, match="^recorded mode does not take: delta_grid$"):
             parse_config(["cfar-sweep", "--recorded", FIXTURE, "--delta-grid", "0",
                           "--out", out])
         with pytest.raises(ConfigError, match="ground truth"):
@@ -226,9 +232,16 @@ class TestParseConfig:
             parse_config(["calibrate", "--trials", "500", "--pfa", "0.01",
                           "--out", str(tmp_path / "t.json")])
 
-    def test_unwritable_out_rejected(self):
+    @pytest.mark.parametrize("out", ["/nonexistent/dir/c.csv", "{tmp}"])
+    def test_unwritable_out_rejected(self, tmp_path, capsys, out):
+        """An output path that cannot be written fails before any simulation."""
+        args = ["pd-curve", "--detectors", "ed", "--snr-grid", "1", "--pfa", "0.1",
+                "--cal-trials", "1000", "--trials", "500", "--out", out.format(tmp=tmp_path)]
         with pytest.raises(ConfigError, match="directory"):
-            parse_config(["pd-curve", "--snr-grid", "1", "--out", "/nonexistent/dir/c.csv"])
+            parse_config(args)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "directory" in err and "pd-curve over" not in err
 
     def test_unknown_detector_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):
@@ -257,9 +270,9 @@ class TestParseConfig:
          (["cfar-sweep", "--delta-grid", "0"], {"cal_seed": -1}, [], "cal_seed"),
          (["calibrate"], {"seed": -1}, [], "seed"),
          (["power-trace", "--recorded", FIXTURE, "--offset-mode", "noise"], {},
-          ["--offset-seed", "-3"], "offset_seed"),
-         (["cfar-sweep", "--recorded", FIXTURE, "--offset-mode", "noise"], {"offset_seed": -3},
-          [], "offset_seed")],
+          ["--offset", "0.5", "--offset-seed", "-3"], "offset_seed"),
+         (["cfar-sweep", "--recorded", FIXTURE, "--offset-mode", "noise"],
+          {"offset": 0.5, "offset_seed": -3}, [], "offset_seed")],
     )
     def test_negative_seed_rejected(self, tmp_path, capsys, command, file_cfg, flags, key):
         """A negative seed is a configuration error, found before any simulation."""
@@ -274,15 +287,41 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "file_cfg, flags",
         [({}, ["--offset", "inf"]), ({}, ["--offset", "-1", "--offset-mode", "noise"]),
-         ({"offset_mode": "bogus"}, [])],
+         ({"offset_mode": "bogus"}, []),
+         # A noise offset drawn without a seed would write other bytes on every run.
+         ({}, ["--offset", "0.5", "--offset-mode", "noise"]),
+         ({"offset": 0.5, "offset_mode": "noise"}, [])],
     )
     @pytest.mark.parametrize("command", [["power-trace"], ["cfar-sweep", "--detectors", "ed"]])
-    def test_bad_offset_rejected(self, tmp_path, command, file_cfg, flags):
+    def test_bad_offset_rejected(self, tmp_path, capsys, command, file_cfg, flags):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(file_cfg))
+        args = [*command, "--config", str(path), "--recorded", FIXTURE, *flags,
+                "--out", str(tmp_path / "p.csv")]
         with pytest.raises(ConfigError, match="offset"):
-            parse_config([*command, "--config", str(path), "--recorded", FIXTURE, *flags,
-                          "--out", str(tmp_path / "p.csv")])
+            parse_config(args)
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "file_cfg, flags", [({}, ["--offset-seed", "4"]), ({"offset_seed": 4}, [])]
+    )
+    @pytest.mark.parametrize("offset", [["--offset", "0.5"], ["--offset-mode", "noise"]])
+    @pytest.mark.parametrize(
+        "command, mode",
+        [(["power-trace"], "power-trace"), (["cfar-sweep", "--detectors", "ed"], "recorded mode")],
+    )
+    def test_unread_offset_seed_refused(self, tmp_path, capsys, command, mode, offset, file_cfg,
+                                        flags):
+        """Only a nonzero noise offset draws: a literal or zero offset reads no seed."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        args = [*command, "--config", str(path), "--recorded", FIXTURE, *offset, *flags,
+                "--out", str(tmp_path / "p.csv")]
+        with pytest.raises(ConfigError, match=f"^{mode} does not take: offset_seed$"):
+            parse_config(args)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {mode} does not take: offset_seed\n"
 
     @pytest.mark.parametrize(
         "command, file_cfg",
@@ -310,6 +349,64 @@ class TestParseConfig:
                             "--out", str(tmp_path / "c.csv")])
         assert cfg.trials == 300 and isinstance(cfg.trials, int)
         assert cfg.scenario.k == 8
+
+
+# A valid value, other than the default, of every setting, as its flag takes it.
+SETTING_VALUES = {
+    "seed": "3", "trials": "20000", "k": "8", "delta": "5", "texture_shape": "0.5",
+    "sigma_n2": "2", "c0": "0.5", "target_phase": "1", "workers": str(os.cpu_count() + 1),
+    "detectors": "ed", "pfa": "0.05", "cal_trials": "20000", "cal_seed": "7",
+    "delta_grid": "0,5", "q_grid": "1", "snr_db": "3", "recorded": FIXTURE, "bins": "0",
+    "stride": "3", "offset": "0.5", "offset_mode": "noise", "offset_seed": "4",
+    "bin_label": "0", "snr_grid": "1,2", "algorithm": "em-m",
+}
+# Each command, and each mode of cfar-sweep, with only the settings it requires.
+BASE_RUNS = {
+    "calibrate": ["calibrate"],
+    "synthetic-sweep": ["cfar-sweep", "--delta-grid", "0"],
+    "recorded-sweep": ["cfar-sweep", "--recorded", FIXTURE],
+    "pd-curve": ["pd-curve", "--snr-grid", "1"],
+    "convergence": ["convergence"],
+    "power-trace": ["power-trace", "--recorded", FIXTURE],
+}
+
+
+def _settings_alone():
+    for name, base in BASE_RUNS.items():
+        for action in _subparsers()[base[0]]._actions:
+            flag = action.option_strings[:1]
+            if flag and action.dest not in ("help", "config", "out") and flag[0] not in base:
+                yield pytest.param(base, action, id=f"{name}-{action.dest}")
+
+
+@pytest.mark.parametrize("base, action", list(_settings_alone()))
+def test_every_given_setting_is_read_or_refused(tmp_path, base, action):
+    """A setting given alone changes the resolved run, or the run refuses it as unread.
+
+    So no run takes a setting and ignores it, and no manifest leaves one out.
+    """
+    out = ["--out", str(tmp_path / "c.csv")]
+    value = [] if action.const is not None else [SETTING_VALUES[action.dest]]
+    # The two grids exclude each other: the q grid replaces the delta grid.
+    run = base[:1] if action.dest == "q_grid" and "--delta-grid" in base else base
+    try:
+        config = parse_config([*run, action.option_strings[0], *value, *out])
+    except ConfigError as exc:
+        assert "does not take" in str(exc)
+    else:
+        assert config != parse_config([*base, *out])
+
+
+def test_readme_commands_resolve(tmp_path):
+    """Every `hetdet` example in README.md is a run the parser accepts."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        commands = [line.split()[1:] for line in fh if line.startswith("hetdet ")]
+    assert commands
+    for argv in commands:
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        parse_config(argv)
 
 
 class TestMainExitCodes:

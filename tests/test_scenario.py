@@ -335,6 +335,9 @@ class TestRecordedSeries:
             ingest_recorded(path, offset=1.0, offset_mode="additive")
         with pytest.raises(ValueError):
             ingest_recorded(path, offset=-1.0, offset_mode="noise")
+        # An unseeded draw would give other samples on every read.
+        with pytest.raises(ValueError, match="needs a seed"):
+            ingest_recorded(path, offset=0.5, offset_mode="noise")
 
 
 class TestSlidingBursts:
