@@ -29,6 +29,7 @@ from . import __version__
 from .detectors import DetectorKind
 from .estimation import EstimationConfig
 from .montecarlo import (
+    MAX_TRIALS,
     AlgorithmTag,
     _calibration_floor,
     _check_calibration_size,
@@ -187,7 +188,7 @@ def _merge_config_file(args):
             setattr(args, key, value)
 
 
-def _number(given, key, default, kind, minimum=None):
+def _number(given, key, default, kind, minimum=None, maximum=None):
     """The number `key`, taken out of `given` (else `default`), as a `kind`."""
     raw = given.pop(key, default)
     if raw is None:
@@ -198,6 +199,8 @@ def _number(given, key, default, kind, minimum=None):
         raise ConfigError(f"{key} must be a {kind.__name__}") from None
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}")
     return value
 
 
@@ -313,7 +316,7 @@ def _build_estimation(given, scen: ScenarioConfig) -> EstimationConfig:
 
 def _calibration_size(given, key: str, pfa: float, default: int) -> int:
     """The trial count `key`, held to montecarlo's calibration floor at `pfa`."""
-    trials = _number(given, key, default, int, minimum=1)
+    trials = _number(given, key, default, int, minimum=1, maximum=MAX_TRIALS)
     try:
         _check_calibration_size(trials, pfa)
     except ValueError as exc:
@@ -349,7 +352,8 @@ def _resolve(command: str, given: dict) -> RunConfig:
     out = given.pop("out", None)
     if out is None:
         raise ConfigError("--out is required")
-    _check_out_path(out)
+    for path in dict.fromkeys((out, _manifest_path(command, out))):
+        _check_out_path(path)
     recorded = given.pop("recorded", None)
 
     if command == "power-trace":
@@ -366,8 +370,8 @@ def _resolve(command: str, given: dict) -> RunConfig:
     if command == "convergence":
         algorithm = AlgorithmTag.parse(given.pop("algorithm", "alg1"))
         return RunConfig(
-            command, out, trials=_number(given, "trials", 10000, int, minimum=1), seed=seed,
-            workers=1, algorithm=algorithm, **settings,
+            command, out, seed=seed, workers=1, algorithm=algorithm,
+            trials=_number(given, "trials", 10000, int, minimum=1, maximum=MAX_TRIALS), **settings,
         )
 
     pfa = _number(given, "pfa", 0.01, float)
@@ -405,7 +409,7 @@ def _resolve(command: str, given: dict) -> RunConfig:
         settings.update(_parse_grid(given, scen, "delta" if "delta_grid" in given else "q"))
     else:
         settings.update(_parse_grid(given, scen, "snr"))
-    trials = _number(given, "trials", 10000, int, minimum=1)
+    trials = _number(given, "trials", 10000, int, minimum=1, maximum=MAX_TRIALS)
     return RunConfig(command, out, trials=trials, seed=seed, **settings)
 
 
@@ -424,13 +428,11 @@ def _manifest(config: RunConfig, started: float, **results) -> dict:
     return payload
 
 
-def _finish(out: str, payload: dict) -> int:
-    """Write the manifest beside the artifact `out`, then print both paths."""
+def _manifest_path(command: str, out: str) -> str:
+    """The one rule naming a manifest: beside the artifact `out`, or `out` itself for calibrate."""
     stem, ext = os.path.splitext(out)
-    manifest = (stem if ext == ".csv" else out) + ".manifest.json"
-    write_manifest(manifest, payload)
-    print(out, manifest, sep="\n")
-    return EXIT_OK
+    beside = (stem if ext == ".csv" else out) + ".manifest.json"
+    return out if command == "calibrate" else beside
 
 
 def _progress(message: str):
@@ -461,8 +463,7 @@ def _check_bins(config: RunConfig, series, bins):
                 )
 
 
-def _run_calibrate(config: RunConfig) -> int:
-    started = time.monotonic()
+def _run_calibrate(config: RunConfig) -> dict:
     _progress(
         f"calibrating {len(config.detectors)} detector(s): "
         f"{config.trials} null trials at pfa {config.pfa}"
@@ -471,14 +472,10 @@ def _run_calibrate(config: RunConfig) -> int:
         config.detectors, config.estimation, config.scenario,
         config.pfa, config.trials, config.seed, config.workers,
     )
-    write_manifest(config.out, _manifest(config, started, thresholds=thresholds))
-    print(config.out)
-    return EXIT_OK
+    return {"thresholds": thresholds}
 
 
-def _run_cfar_sweep(config: RunConfig) -> int:
-    started = time.monotonic()
-
+def _run_cfar_sweep(config: RunConfig) -> dict:
     def calibrate():
         # The sweep's own scenario is white noise: it reads no delta or texture shape.
         _progress(f"calibrating under white noise: {config.cal_trials} trials")
@@ -495,18 +492,17 @@ def _run_cfar_sweep(config: RunConfig) -> int:
         bins = config.bins if config.bins is not None else tuple(series.bin_labels.tolist())
         _check_bins(config, series, bins)
         thresholds = calibrate()
-        window_counts = {}
+        results = {"bins": [int(b) for b in bins], "windows_per_bin": {}}
 
         def bin_statistics():
             for bin_label in bins:
                 windows = sliding_bursts(series, bin_label, config.scenario.k, config.stride)
-                window_counts[int(bin_label)] = len(windows)
+                results["windows_per_bin"][int(bin_label)] = len(windows)
                 _progress(f"bin {bin_label}: {len(windows)} sliding bursts")
                 stats = statistics_for_bursts(windows, config.detectors, config.estimation)
                 yield float(bin_label), stats
 
         curves = exceedance_curves(config.detectors, thresholds, bin_statistics())
-        results = {"bins": [int(b) for b in bins], "windows_per_bin": window_counts}
     else:
         thresholds = calibrate()
         scens = [_grid_scenario(config.scenario, config.grid_kind, value) for value in config.grid]
@@ -519,13 +515,10 @@ def _run_cfar_sweep(config: RunConfig) -> int:
             config.trials, config.seed, config.workers,
         )
     write_curves_csv(config.out, curves)
-    return _finish(config.out, _manifest(
-        config, started, calibration_scenario=config.scenario, thresholds=thresholds, **results,
-    ))
+    return {"thresholds": thresholds, **results}
 
 
-def _run_pd_curve(config: RunConfig) -> int:
-    started = time.monotonic()
+def _run_pd_curve(config: RunConfig) -> dict:
     _progress(
         f"pd-curve over {len(config.grid)} SNR points: {config.trials} trials each, "
         f"calibration {config.cal_trials} trials"
@@ -536,11 +529,10 @@ def _run_pd_curve(config: RunConfig) -> int:
         seed=config.seed, cal_seed=config.cal_seed, workers=config.workers,
     )
     write_curves_csv(config.out, curves)
-    return _finish(config.out, _manifest(config, started, thresholds=thresholds))
+    return {"thresholds": thresholds}
 
 
-def _run_convergence(config: RunConfig) -> int:
-    started = time.monotonic()
+def _run_convergence(config: RunConfig) -> dict:
     _progress(
         f"tracing {config.algorithm.value} at snr {config.scenario.snr_db} dB "
         f"over {config.trials} trials"
@@ -549,11 +541,10 @@ def _run_convergence(config: RunConfig) -> int:
         config.algorithm, config.scenario, config.trials, config.seed, config.estimation,
     )
     write_trace_csv(config.out, config.algorithm, trace, config.trials)
-    return _finish(config.out, _manifest(config, started))
+    return {}
 
 
-def _run_power_trace(config: RunConfig) -> int:
-    started = time.monotonic()
+def _run_power_trace(config: RunConfig) -> dict:
     series = ingest_recorded(
         config.recorded, config.offset, config.offset_mode, config.offset_seed
     )
@@ -566,7 +557,7 @@ def _run_power_trace(config: RunConfig) -> int:
             lines.append(f"{prefix}{pulse},{float(value)!r}")
     with open(config.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    return _finish(config.out, _manifest(config, started, bins=bins, n_pulses=series.n_pulses))
+    return {"bins": bins, "n_pulses": series.n_pulses}
 
 
 _RUNNERS = {
@@ -579,8 +570,16 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute a resolved run; raises on failure."""
-    return _RUNNERS[config.command](config)
+    """Execute a resolved run, time it, write its manifest and print both paths; raises on failure.
+
+    The runner writes only the artifact; calibrate's artifact is its manifest, printed once.
+    """
+    started = time.monotonic()
+    results = _RUNNERS[config.command](config)
+    manifest = _manifest_path(config.command, config.out)
+    write_manifest(manifest, _manifest(config, started, **results))
+    print(*dict.fromkeys((config.out, manifest)), sep="\n")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -35,12 +35,14 @@ from .numerics import _sq_norm
 from .scenario import Hypothesis, ScenarioConfig, directions, gen_block
 
 BLOCK_SIZE = 512
+MAX_TRIALS = 2**40  # 8 TiB of float64 per detector's statistics; over 150 CPU-days of bursts
 _WILSON_Z = 1.96
 
 __all__ = [
     "AlgorithmTag",
     "BLOCK_SIZE",
     "CurvePoint",
+    "MAX_TRIALS",
     "calibrate_thresholds",
     "convergence_trace",
     "curve_point",
@@ -143,6 +145,8 @@ def sample_statistics(
     kinds = list(kinds)
     if trials < 1:
         raise ValueError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ValueError("trials must be at most MAX_TRIALS = 2**40")
     if workers < 1:
         raise ValueError("workers must be positive")
     starts = list(range(0, trials, BLOCK_SIZE))
@@ -344,6 +348,8 @@ def convergence_trace(
         raise ValueError("algorithm must be an AlgorithmTag")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ValueError("trials must be at most MAX_TRIALS = 2**40")
     if cfg is None:
         cfg = EstimationConfig()
     sums = None

@@ -177,8 +177,6 @@ def _stream_states(seed: int, trials) -> np.ndarray:
     # With a spawn key present, the run entropy is zero-padded to the pool size.
     seed_words += [0] * (_POOL_SIZE - len(seed_words))
     index = np.array(list(trials), dtype=object)
-    if np.any(index < 0):
-        raise ValueError("trial indices must be non-negative")
     width = len(_words(int(index.max()))) if index.size else 1
     words = np.empty((index.size, width), dtype=np.uint32)
     for j in range(width):

@@ -232,9 +232,10 @@ class TestParseConfig:
             parse_config(["calibrate", "--trials", "500", "--pfa", "0.01",
                           "--out", str(tmp_path / "t.json")])
 
-    @pytest.mark.parametrize("out", ["/nonexistent/dir/c.csv", "{tmp}"])
+    @pytest.mark.parametrize("out", ["/nonexistent/dir/c.csv", "{tmp}", "{tmp}/c.csv"])
     def test_unwritable_out_rejected(self, tmp_path, capsys, out):
-        """An output path that cannot be written fails before any simulation."""
+        """An artifact or manifest path that cannot be written fails before any simulation."""
+        (tmp_path / "c.manifest.json").mkdir()
         args = ["pd-curve", "--detectors", "ed", "--snr-grid", "1", "--pfa", "0.1",
                 "--cal-trials", "1000", "--trials", "500", "--out", out.format(tmp=tmp_path)]
         with pytest.raises(ConfigError, match="directory"):
@@ -242,6 +243,70 @@ class TestParseConfig:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "directory" in err and "pd-curve over" not in err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_unfinishable_default_calibration_refused(self, tmp_path, capsys):
+        """At pfa 1e-300 the default cal_trials, ceil(100/pfa), is about 1e302 trials."""
+        args = ["pd-curve", "--detectors", "ed", "--pfa", "1e-300", "--snr-grid", "1",
+                "--workers", "1", "--out", str(tmp_path / "c.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: cal_trials must be <= {2**40}\n"
+
+    @pytest.mark.parametrize("source", ["flag", "key"])
+    @pytest.mark.parametrize(
+        "command, key",
+        [(["pd-curve", "--snr-grid", "1"], "trials"), (["pd-curve", "--snr-grid", "1"], "cal_trials"),
+         (["cfar-sweep", "--delta-grid", "0"], "trials"), (["convergence"], "trials"),
+         (["calibrate"], "trials")],
+    )
+    def test_trial_counts_bounded(self, tmp_path, capsys, command, key, source):
+        """No trial count may exceed 2**40: the bound resolves, one more is refused unrun."""
+        path = tmp_path / "cfg.json"
+        pool = [] if command[0] == "convergence" else ["--detectors", "ed", "--workers", "1"]
+
+        def args(count):
+            path.write_text(json.dumps({key: count} if source == "key" else {}))
+            flags = [f"--{key.replace('_', '-')}", str(count)] if source == "flag" else []
+            return [*command, *pool, "--config", str(path), *flags,
+                    "--out", str(tmp_path / "c.csv")]
+
+        assert getattr(parse_config(args(2**40)), key) == 2**40
+        assert main(args(2**40 + 1)) == 2
+        assert capsys.readouterr().err == f"error: {key} must be <= {2**40}\n"
+
+    @pytest.mark.parametrize(
+        "contents, message",
+        [(None, "cannot read config file"), ("{bad", "config file is not valid JSON"),
+         ("[1, 2]", "config file must hold a JSON object")],
+    )
+    def test_unreadable_config_file_rejected(self, tmp_path, capsys, contents, message):
+        path = tmp_path / "cfg.json"
+        if contents is not None:
+            path.write_text(contents)
+        args = ["pd-curve", "--config", str(path), "--snr-grid", "1",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "file_cfg, flags, message",
+        [({}, ["--detectors", ","], "detectors must be non-empty"),
+         ({"detectors": []}, [], "detectors must be non-empty"),
+         ({}, ["--detectors", "ed,ed"], "duplicate detector tags")],
+    )
+    def test_bad_detector_list_rejected(self, tmp_path, capsys, file_cfg, flags, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        args = ["pd-curve", "--config", str(path), *flags, "--snr-grid", "1",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_finite_target_phase_rejected(self, tmp_path, capsys):
+        args = ["pd-curve", "--snr-grid", "1", "--target-phase", "inf",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: target_phase must be finite\n"
 
     def test_unknown_detector_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):
@@ -256,7 +321,8 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "values",
         [{"trials": 300.7}, {"k": 16.9}, {"seed": 1.5}, {"trials": True}, {"cal_seed": False},
-         {"target_phase": True}, {"sigma_n2": True}, {"snr_grid": [True, 2.0]}],
+         {"target_phase": True}, {"sigma_n2": True}, {"snr_grid": [True, 2.0]},
+         {"paper_init": 1}],
     )
     def test_file_numbers_are_not_reinterpreted(self, tmp_path, values):
         path = tmp_path / "cfg.json"
@@ -490,6 +556,10 @@ class TestMainExitCodes:
         code = main(["power-trace", "--recorded", str(bad), "--out", str(tmp_path / "p.csv")])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+        bad.write_text("bin_index,pulse_index,re,im\n")
+        code = main(["power-trace", "--recorded", str(bad), "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {bad}: no data rows\n"
 
 
 class TestCalibrateCommand:
@@ -545,7 +615,7 @@ class TestCfarSweepCommand:
         manifest = json.loads(_read_bytes(manifest_path))
         assert manifest["grid"] == [0.0, 5.0]
         assert manifest["cal_seed"] == 3
-        assert manifest["calibration_scenario"]["delta"] == 0.0
+        assert manifest["scenario"]["delta"] == 0.0
         assert "ed" in manifest["thresholds"]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
@@ -696,14 +766,13 @@ MANIFEST_KEYS = {
         ["cfar-sweep", "--detectors", "ed", "--delta-grid", "0,5", "--k", "8", "--pfa", "0.1",
          "--cal-trials", "1000", "--trials", "100", "--workers", "1"],
         _RUN | _MODEL | _POOL | _CALIBRATED
-        | {"trials", "seed", "grid", "grid_kind", "calibration_scenario"},
+        | {"trials", "seed", "grid", "grid_kind"},
     ),
     "cfar-sweep-recorded": (
         ["cfar-sweep", "--detectors", "ed", "--recorded", FIXTURE, "--pfa", "0.1",
          "--cal-trials", "1000", "--workers", "1"],
         _RUN | _MODEL | _POOL | _CALIBRATED
-        | {"recorded", "stride", "offset", "offset_mode", "calibration_scenario", "bins",
-           "windows_per_bin"},
+        | {"recorded", "stride", "offset", "offset_mode", "bins", "windows_per_bin"},
     ),
     "pd-curve": (
         ["pd-curve", "--detectors", "ed,cd", "--snr-grid", "0,5", "--k", "8", "--pfa", "0.1",
@@ -733,8 +802,8 @@ def test_manifest_keys(tmp_path, capsys, name):
 
 
 # Small runs whose CSV bytes are pinned: a refactor that claims to change no
-# output must leave every hash alone.  Manifests carry wall_time_s, so only
-# the CSVs are hashed.
+# output must leave every hash alone.  Manifests carry wall_time_s, so they
+# are pinned apart, by test_pinned_manifest_bytes below.
 PINNED_ARTIFACTS = {
     "cfar-sweep-delta-grid": (
         ["cfar-sweep", "--detectors", "gd-he,c-agd,ed,chd,ca-chd", "--delta-grid", "0,5,20",
@@ -791,3 +860,31 @@ def test_pinned_artifact_bytes(tmp_path, capsys, name):
     assert main([*args, "--out", out]) == 0
     capsys.readouterr()
     assert hashlib.sha256(_read_bytes(out)).hexdigest() == digest
+
+
+# The MANIFEST_KEYS runs' manifests, pinned like the CSVs: each is hashed
+# without wall_time_s and with `recorded` cut to its file name (the fixture's
+# absolute path depends on the checkout), in the writer's own JSON format.
+# A key that differs between machines, such as an environment record, must be
+# left out of the hash in the same way.
+PINNED_MANIFESTS = {
+    "calibrate": "3a8c6aa0206f1df8d9338bae25a5c69c3fc90732fa8a13afbb7e77b1449519bc",
+    "cfar-sweep-delta-grid": "f6051b1d2944624b94101632b3ed3808ac6775287e4195f12180caf3e592588a",
+    "cfar-sweep-recorded": "280adf5e2edcda14263a60eff2a5dc253fbd72ec6cab903822cf57b5b4622800",
+    "convergence": "b973aac359ec85ff3a7b3eaf628c3db85059af7a93c606c590bba45a7cbcbca5",
+    "pd-curve": "8f147ea67345e2c2707c4c0d66ecb5c3e471e58ae3f2bb23d702fd07ada785f6",
+    "power-trace": "3160f1853f24766bc7418adfd734458b3c0be6d5ba57af68d76225790c6fcc9d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST_KEYS))
+def test_pinned_manifest_bytes(tmp_path, capsys, name):
+    args, _ = MANIFEST_KEYS[name]
+    out = str(tmp_path / ("thr.json" if args[0] == "calibrate" else "artifact.csv"))
+    assert main([*args, "--out", out]) == 0
+    manifest = json.loads(_read_bytes(capsys.readouterr().out.split()[-1]))
+    del manifest["wall_time_s"]
+    if "recorded" in manifest:
+        manifest["recorded"] = os.path.basename(manifest["recorded"])
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MANIFESTS[name]

@@ -36,6 +36,10 @@ WHITE = ScenarioConfig(k=16, delta=0.0)
 EST = EstimationConfig()
 
 
+def _draw_refused(*args, **kwargs):
+    raise AssertionError("a trial was drawn")
+
+
 def _ed_threshold(nominal_pfa, trials, seed):
     thresholds = calibrate_thresholds([DetectorKind.ED], None, WHITE, nominal_pfa, trials, seed)
     return thresholds[DetectorKind.ED]
@@ -249,6 +253,23 @@ class TestSampleStatistics:
             sample_statistics([DetectorKind.ED], None, WHITE, "h0", 10, seed=0)
 
 
+class TestTrialBound:
+    """A count above MAX_TRIALS is refused before a single trial is drawn."""
+
+    def test_sample_statistics(self, monkeypatch):
+        # Were the check gone, one block per 2**40 trials keeps the block list short.
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", montecarlo.MAX_TRIALS)
+        monkeypatch.setattr(montecarlo, "_sample_block", _draw_refused)
+        with pytest.raises(ValueError, match="at most MAX_TRIALS = 2"):
+            sample_statistics([DetectorKind.ED], None, WHITE, Hypothesis.H0,
+                              montecarlo.MAX_TRIALS + 1, seed=0)
+
+    def test_convergence_trace(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "gen_block", _draw_refused)
+        with pytest.raises(ValueError, match="at most MAX_TRIALS = 2"):
+            convergence_trace(AlgorithmTag.ALG1, WHITE, montecarlo.MAX_TRIALS + 1, seed=0)
+
+
 class TestPfaEstimation:
     def test_matched_scenario_self_consistency(self):
         th = _ed_threshold(0.05, 4000, seed=11)
@@ -276,6 +297,8 @@ class TestPfaEstimation:
         ths = calibrate_thresholds([DetectorKind.ED], None, WHITE, 0.05, 2000, seed=19)
         with pytest.raises(ValueError, match="missing threshold"):
             pfa_sweep([DetectorKind.ED, DetectorKind.CHD], None, ths, [WHITE], 100, seed=20)
+        with pytest.raises(ValueError, match="at least one scenario"):
+            pfa_sweep([DetectorKind.ED], None, ths, [], 100, seed=20)
 
 
 class TestPdCurves:
@@ -294,6 +317,12 @@ class TestPdCurves:
             _ed_pd([], 2000, 100, seed=28, cal_seed=27)
         with pytest.raises(ValueError):
             _ed_pd([np.nan], 2000, 100, seed=28, cal_seed=27)
+
+    @pytest.mark.parametrize("kinds", [[], [DetectorKind.ED, DetectorKind.ED]])
+    def test_kinds_validation(self, kinds):
+        with pytest.raises(ValueError, match="kinds must be non-empty and unique"):
+            pd_curves(kinds, None, WHITE, [0.0], nominal_pfa=0.05, cal_trials=2000, trials=100,
+                      seed=28, cal_seed=27)
 
     def test_multi_detector_engine(self):
         scen = ScenarioConfig(k=16, delta=10.0)
@@ -352,6 +381,8 @@ class TestConvergenceTrace:
             AlgorithmTag.parse("em")
         with pytest.raises(ValueError):
             convergence_trace("alg1", replace(WHITE, snr_db=0.0), 10, seed=0)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            convergence_trace(AlgorithmTag.ALG1, WHITE, 0, seed=0)
 
 
 class TestBurstListStatistics:
@@ -392,8 +423,10 @@ class TestWriters:
         path = tmp_path / "m.json"
         thresholds = {DetectorKind.ED: 1.5, DetectorKind.CD: (2.0, 2.5)}
         write_manifest(path, {"thresholds": thresholds, "scenario": WHITE,
-                              "detectors": [DetectorKind.AGD], "grid": np.array([1.0, 2.0])})
+                              "detectors": [DetectorKind.AGD], "grid": np.array([1.0, 2.0]),
+                              "count": np.int64(7), "level": np.float32(0.5)})
         data = json.loads(path.read_text())
+        assert data["count"] == 7 and data["level"] == 0.5
         assert data["thresholds"] == {"ed": 1.5, "cd": [2.0, 2.5]}
         assert data["scenario"]["k"] == 16 and data["scenario"]["delta"] == 0.0
         assert data["detectors"] == ["agd"]

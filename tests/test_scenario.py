@@ -39,6 +39,8 @@ class TestScenarioConfig:
             ScenarioConfig(k=16, delta=5.0, snr_db=np.nan)
         with pytest.raises(ValueError):
             ScenarioConfig(k=16, delta=5.0, snr_db=np.inf)
+        with pytest.raises(ValueError, match="target_phase must be finite"):
+            ScenarioConfig(k=16, delta=5.0, target_phase=np.inf)
 
     def test_target_mean_norm_and_phase(self):
         cfg = ScenarioConfig(k=16, delta=5.0, sigma_n2=2.0, snr_db=13.0, target_phase=0.7)
@@ -128,6 +130,8 @@ class TestTrialStreams:
             gen_block(cfg, Hypothesis.H0, seed=0, start=-1, count=2)
         with pytest.raises(ValueError):
             gen_block(cfg, Hypothesis.H0, seed=0, start=-1, count=0)
+        with pytest.raises(ValueError, match="negative dimensions"):
+            gen_block(cfg, Hypothesis.H0, seed=0, start=0, count=-1)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -250,6 +254,15 @@ class TestRecordedSeries:
         series = ingest_recorded(path)
         with pytest.raises(ValueError, match="unknown range bin"):
             series.row(4)
+
+    @pytest.mark.parametrize(
+        "cells, labels, message",
+        [(np.zeros((2, 4)), [1], "cells must be"), (np.full((1, 4), np.nan), [1], "finite"),
+         (np.zeros((2, 4)), [1, 1], "unique")],
+    )
+    def test_invalid_series_rejected(self, cells, labels, message):
+        with pytest.raises(ValueError, match=message):
+            RecordedSeries(cells, np.array(labels))
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "rec.csv"
