@@ -377,6 +377,7 @@ def _resolve(command: str, given: dict) -> RunConfig:
     pfa = _number(given, "pfa", 0.01, float)
     if not 0.0 < pfa < 1.0:
         raise ConfigError("pfa must lie in (0, 1)")
+    floor = _calibration_floor(pfa)  # refuses a pfa whose floor overflows
     detectors = _parse_detectors(given.pop("detectors", None), recorded is not None)
     settings.update(
         detectors=detectors, pfa=pfa,
@@ -387,7 +388,7 @@ def _resolve(command: str, given: dict) -> RunConfig:
         return RunConfig(command, out, trials=trials, seed=seed, **settings)
 
     settings.update(
-        cal_trials=_calibration_size(given, "cal_trials", pfa, _calibration_floor(pfa)),
+        cal_trials=_calibration_size(given, "cal_trials", pfa, floor),
         cal_seed=_number(given, "cal_seed", seed + 1, int, minimum=0),
     )
     if recorded is not None:

@@ -10,10 +10,10 @@ log-likelihood domains:
 - c_agd: direction-domain statistic evaluated at cyclic-ML estimates.
 
 Three reference statistics need no estimation (ed, chd, ca_chd) and one is
-clairvoyant (cd, true parameters supplied).  `statistics_batch` computes any
-subset over a stack of bursts while sharing the estimation runs; a single
-burst is a stack of one.  A statistic declares a detection when it strictly
-exceeds its threshold (`montecarlo.exceedance_curves`), so a tie does not.
+clairvoyant (cd, true parameters supplied).  Each kind is one row of `_ROWS`:
+its inputs and its statistic.  `statistics_batch` scores any subset over a
+stack of bursts (one burst is a stack of one), each input once.  A detection
+is a statistic strictly above its threshold (`montecarlo.exceedance_curves`).
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ class DetectorKind(enum.Enum):
     @property
     def requires_truth(self) -> bool:
         """Whether the statistic needs the true (mean, variances) side information."""
-        return self is DetectorKind.CD
+        return "truth" in _ROWS[self][0]
 
     @property
     def reads_directions(self) -> bool:
         """Whether the statistic needs every sample's direction, undefined at zero magnitude."""
-        return self in (DetectorKind.AGD, DetectorKind.C_GD_HE, DetectorKind.C_AGD)
+        return "z" in _ROWS[self][0]
 
     @classmethod
     def parse(cls, token: str) -> "DetectorKind":
@@ -105,6 +105,34 @@ def angular_statistic(directions: np.ndarray, m: np.ndarray, sigma2: np.ndarray)
     return -msq * np.sum(1.0 / (2.0 * sigma2), axis=-1) + np.sum(log1p_mills(t), axis=-1)
 
 
+def _clairvoyant(v: dict) -> np.ndarray:
+    mean, sigma2 = v["truth"]
+    return -np.sum(_sq_norm(_pair_diff(v["x"], mean)) / sigma2, axis=-1) + np.sum(v["e"] / sigma2, axis=-1)
+
+
+def _cell_averaged(v: dict) -> np.ndarray:
+    if np.any(v["energy"] == 0.0):
+        raise ValueError("ca-chd is undefined on an all-zero burst")
+    return v["coherent"] / v["energy"]
+
+
+# A kind's row: the inputs its statistic reads, and the statistic as a function
+# of {input: value}, which also holds the bursts x and their per-sample energies
+# e.  Inputs: z (directions), ml and em (each fit's mean and variances), ll0
+# (no-target log-likelihood), energy, coherent (pulse-sum power) and truth.  The
+# engines are module globals looked up as a row runs, so a wrapper on one holds.
+_ROWS = {
+    DetectorKind.GD_HE: (("ml", "ll0"), lambda v: gaussian_loglik(v["x"], *v["ml"]) - v["ll0"]),
+    DetectorKind.AGD: (("z", "em"), lambda v: _angular(DetectorKind.AGD, v["z"], *v["em"])),
+    DetectorKind.C_GD_HE: (("z", "em", "ll0"), lambda v: gaussian_loglik(v["x"], *v["em"]) - v["ll0"]),
+    DetectorKind.C_AGD: (("z", "ml"), lambda v: _angular(DetectorKind.C_AGD, v["z"], *v["ml"])),
+    DetectorKind.CD: (("truth",), _clairvoyant),
+    DetectorKind.ED: (("energy",), lambda v: v["energy"]),
+    DetectorKind.CHD: (("coherent",), lambda v: v["coherent"]),
+    DetectorKind.CA_CHD: (("coherent", "energy"), _cell_averaged),
+}
+
+
 def statistics_batch(
     x: np.ndarray,
     kinds,
@@ -115,13 +143,12 @@ def statistics_batch(
     """Requested decision statistics over a stack of bursts.
 
     x has shape (B, K, 2), in any memory layout; the statistics do not
-    depend on it.  The per-sample energies, the cyclic-ML run, the EM run,
-    and the no-target variance estimates are each computed once and shared
-    by every statistic that consumes them.  cd needs a finite true_mean (2,)
-    and positive, finite true_sigma2 of shape (K,) or (B, K).  Returns
-    {kind: (B,) array}; raises NonFiniteStatistic, a ValueError, naming the
-    detector and the first burst index if any statistic, or the estimate it
-    is evaluated at, is not finite.
+    depend on it.  Each input that the requested kinds' rows read is computed
+    once and shared.  cd needs a finite true_mean (2,) and positive, finite
+    true_sigma2 of shape (K,) or (B, K).  Returns {kind: (B,) array}; raises
+    NonFiniteStatistic, a ValueError, naming the detector and the first
+    burst index if any statistic, or the estimate it is evaluated at, is not
+    finite.
     """
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != 2:
@@ -136,71 +163,43 @@ def statistics_batch(
             raise ValueError(f"not a DetectorKind: {kind!r}")
     if len(set(kinds)) != len(kinds):
         raise ValueError("duplicate detector kinds")
-    k = x.shape[1]
 
-    needs_alg1 = DetectorKind.GD_HE in kinds or DetectorKind.C_AGD in kinds
-    needs_em = DetectorKind.AGD in kinds or DetectorKind.C_GD_HE in kinds
-    needs_h0 = DetectorKind.GD_HE in kinds or DetectorKind.C_GD_HE in kinds
-    needs_z = any(kind.reads_directions for kind in kinds)
-    if (needs_alg1 or needs_em) and cfg is None:
+    reads = {name for kind in kinds for name in _ROWS[kind][0]}
+    if reads & {"ml", "em", "ll0"} and cfg is None:
         raise ValueError("adaptive detectors need an EstimationConfig")
-    if (needs_alg1 or needs_em) and k < 2:
+    if reads & {"ml", "em", "ll0"} and x.shape[1] < 2:
         raise ValueError("adaptive detectors need K >= 2")
-    if DetectorKind.CD in kinds:
+    e = _sq_norm(x)
+    v = {"x": x, "e": e}
+    if "truth" in reads:
         if true_mean is None or true_sigma2 is None:
-            raise ValueError("cd needs true_mean and true_sigma2")
-        true_mean = np.asarray(true_mean, dtype=float)
-        true_sigma2 = np.asarray(true_sigma2, dtype=float)
+            who = ", ".join(kind.value for kind in kinds if kind.requires_truth)
+            raise ValueError(f"{who} needs true_mean and true_sigma2")
+        true_mean, true_sigma2 = np.asarray(true_mean, dtype=float), np.asarray(true_sigma2, dtype=float)
         if true_mean.shape != (2,) or not np.all(np.isfinite(true_mean)):
             raise ValueError("true_mean must be a finite 2-vector")
-        if true_sigma2.shape not in ((k,), (x.shape[0], k)):
+        if true_sigma2.shape not in (x.shape[1:2], x.shape[:2]):
             raise ValueError(f"true_sigma2 must have shape (K,) or (B, K), got {true_sigma2.shape}")
         if not np.all(np.isfinite(true_sigma2) & (true_sigma2 > 0)):
             raise ValueError("true_sigma2 must be finite and positive")
+        v["truth"] = true_mean, true_sigma2
+    if "z" in reads:
+        v["z"] = _directions(x, e)[0]
+    if "ml" in reads:
+        v["ml"] = cyclic_ml_batch(x, ml_init(e, cfg), cfg.c0, cfg.n_co1, cfg.eps)[:2]
+    if "em" in reads:
+        m0, s20 = em_init(x, v["z"], cfg)
+        v["em"] = cyclic_em_batch(v["z"], m0, s20, cfg.c0, cfg.n_co2, cfg.n_em_m, cfg.n_em_sigma,
+                                  cfg.eps1, cfg.eps2, cfg.eps3)[:2]
+    if "ll0" in reads:
+        # The no-target mean is 0.0, and x - 0.0 has the bits of x.
+        v["ll0"] = _gaussian_sum(e, _h0_variances(e, cfg.c0))
+    if "energy" in reads:
+        v["energy"] = np.sum(x * x, axis=(-2, -1))
+    if "coherent" in reads:
+        v["coherent"] = _sq_norm(_pulse_sum(x))
 
-    e = _sq_norm(x)
-    z = _directions(x, e)[0] if needs_z else None
-
-    m1 = s21 = None
-    if needs_alg1:
-        m1, s21, _, _ = cyclic_ml_batch(x, ml_init(e, cfg), cfg.c0, cfg.n_co1, cfg.eps)
-
-    m2 = s22 = None
-    if needs_em:
-        m0, s20 = em_init(x, z, cfg)
-        m2, s22, _, _ = cyclic_em_batch(
-            z, m0, s20, cfg.c0, cfg.n_co2, cfg.n_em_m, cfg.n_em_sigma,
-            cfg.eps1, cfg.eps2, cfg.eps3,
-        )
-
-    # The no-target mean is 0.0, and x - 0.0 has the bits of x.
-    ll0 = _gaussian_sum(e, _h0_variances(e, cfg.c0)) if needs_h0 else None
-    if DetectorKind.ED in kinds or DetectorKind.CA_CHD in kinds:
-        energy = np.sum(x * x, axis=(-2, -1))
-
-    out = {}
-    for kind in kinds:
-        if kind is DetectorKind.GD_HE:
-            out[kind] = gaussian_loglik(x, m1, s21) - ll0
-        elif kind is DetectorKind.AGD:
-            out[kind] = _angular(kind, z, m2, s22)
-        elif kind is DetectorKind.C_GD_HE:
-            out[kind] = gaussian_loglik(x, m2, s22) - ll0
-        elif kind is DetectorKind.C_AGD:
-            out[kind] = _angular(kind, z, m1, s21)
-        elif kind is DetectorKind.CD:
-            out[kind] = (
-                -np.sum(_sq_norm(_pair_diff(x, true_mean)) / true_sigma2, axis=-1)
-                + np.sum(e / true_sigma2, axis=-1)
-            )
-        elif kind is DetectorKind.ED:
-            out[kind] = energy
-        elif kind is DetectorKind.CHD:
-            out[kind] = _sq_norm(_pulse_sum(x))
-        else:
-            if np.any(energy == 0.0):
-                raise ValueError("ca-chd is undefined on an all-zero burst")
-            out[kind] = _sq_norm(_pulse_sum(x)) / energy
+    out = {kind: _ROWS[kind][1](v) for kind in kinds}
     # A NaN would otherwise count as a non-exceedance of every threshold.
     for kind, values in out.items():
         bad = np.flatnonzero(~np.isfinite(values))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detectors import DetectorKind, NonFiniteStatistic, statistics_batch
+from .detectors import NonFiniteStatistic, statistics_batch
 from .estimation import (
     EstimationConfig,
     cyclic_em_batch,
@@ -189,7 +189,10 @@ def _calibration_floor(nominal_pfa: float) -> int:
     """The fewest calibration trials at `nominal_pfa`: about 100 null exceedances."""
     if not (0.0 < nominal_pfa < 1.0):
         raise ValueError("nominal_pfa must lie in (0, 1)")
-    return int(np.ceil(100.0 / nominal_pfa))
+    floor = 100.0 / nominal_pfa
+    if floor == np.inf:
+        raise ValueError(f"pfa {nominal_pfa!r} is too small: ceil(100/pfa) trials overflow a float")
+    return int(np.ceil(floor))
 
 
 def _check_calibration_size(trials: int, nominal_pfa: float):
@@ -310,20 +313,13 @@ def pd_curves(
     if len(set(kinds)) != len(kinds) or not kinds:
         raise ValueError("kinds must be non-empty and unique")
     points = _snr_points(scen, snr_grid)
-    thresholds = {}
-    fixed = [k for k in kinds if k is not DetectorKind.CD]
-    if fixed:
-        thresholds.update(
-            calibrate_thresholds(fixed, cfg, scen, nominal_pfa, cal_trials, cal_seed, workers)
-        )
-    if DetectorKind.CD in kinds:
-        thresholds[DetectorKind.CD] = tuple(
-            calibrate_thresholds(
-                [DetectorKind.CD], cfg, replace(scen, snr_db=snr),
-                nominal_pfa, cal_trials, cal_seed, workers,
-            )[DetectorKind.CD]
-            for snr, _ in points
-        )
+    # The truth's mean moves with SNR, so a detector that reads it gets one eta per SNR.
+    moving = [k for k in kinds if k.requires_truth]
+    fixed = [k for k in kinds if k not in moving]
+    calibration = (nominal_pfa, cal_trials, cal_seed, workers)
+    thresholds = calibrate_thresholds(fixed, cfg, scen, *calibration) if fixed else {}
+    per_snr = [calibrate_thresholds(moving, cfg, at, *calibration) for _, at in points] if moving else []
+    thresholds.update({k: tuple(etas[k] for etas in per_snr) for k in moving})
 
     curves = _exceedance_curves(kinds, cfg, thresholds, points, Hypothesis.H1, trials, seed, workers)
     return curves, thresholds

@@ -346,6 +346,10 @@ def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", see
                         f"{path}:{n}: cannot read {line.strip()!r} as integer, integer, float, float"
                     ) from None
             raise
+    finite = np.isfinite(table["re"]) & np.isfinite(table["im"])
+    if not finite.all():
+        n, line = _numbered_rows(path)[int(np.argmin(finite))]
+        raise ValueError(f"{path}:{n}: re and im must be finite, got {line.strip()!r}")
     b, p = table["bin"], table["pulse"]
     bins, bin_pos = np.unique(b, return_inverse=True)
     pulses = np.unique(p)

@@ -20,6 +20,7 @@ from hetdet.montecarlo import calibrate_thresholds
 from hetdet.scenario import ScenarioConfig, ingest_recorded, pulse_powers
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "recorded_clutter.csv")
+DEFAULT_DETECTORS = ["gd-he", "agd", "c-gd-he", "c-agd", "cd", "ed", "chd", "ca-chd"]
 
 
 def _lines(path):
@@ -66,7 +67,10 @@ class TestParseConfig:
         assert cfg.cal_trials == 10000
         assert cfg.cal_seed == 1
         assert cfg.grid == (0.0, 5.0)
-        assert cfg.detectors == tuple(DetectorKind)
+        # Pinned literally: a new kind joins the default set only by editing this list.
+        assert [k.value for k in cfg.detectors] == DEFAULT_DETECTORS
+        recorded = parse_config(["cfar-sweep", "--recorded", FIXTURE, "--out", out])
+        assert [k.value for k in recorded.detectors] == [t for t in DEFAULT_DETECTORS if t != "cd"]
         assert cfg.estimation.c0 == 1.0
         assert not cfg.estimation.paper_init
 
@@ -319,6 +323,18 @@ class TestParseConfig:
                           "--out", str(tmp_path / "c.csv")])
 
     @pytest.mark.parametrize(
+        "command",
+        [["calibrate"], ["cfar-sweep", "--delta-grid", "0"], ["cfar-sweep", "--recorded", FIXTURE],
+         ["pd-curve", "--snr-grid", "1"]],
+    )
+    def test_pfa_whose_floor_overflows_refused(self, tmp_path, capsys, command):
+        """At pfa 1e-320, ceil(100/pfa) is infinite: a configuration error, not a traceback."""
+        args = [*command, "--pfa", "1e-320", "--workers", "1", "--out", str(tmp_path / "c.csv")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: pfa 1e-320 is too small: ceil(100/pfa) trials overflow a float\n"
+
+    @pytest.mark.parametrize(
         "values",
         [{"trials": 300.7}, {"k": 16.9}, {"seed": 1.5}, {"trials": True}, {"cal_seed": False},
          {"target_phase": True}, {"sigma_n2": True}, {"snr_grid": [True, 2.0]},
@@ -549,6 +565,13 @@ class TestMainExitCodes:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "never finished" in errors[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row", ["0,1,nan,0.5", "0,1,0.5,inf"])
+    def test_non_finite_recorded_sample_is_named_by_its_line(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"bin_index,pulse_index,re,im\n0,0,1.0,1.0\n{row}\n")
+        assert main(["power-trace", "--recorded", str(bad), "--out", str(tmp_path / "p.csv")]) == 3
+        assert capsys.readouterr().err == f"error: {bad}:3: re and im must be finite, got {row!r}\n"
 
     def test_malformed_recorded_file_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

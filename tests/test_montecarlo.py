@@ -147,6 +147,13 @@ class TestCalibration:
         with pytest.raises(ValueError, match=r"nominal_pfa must lie in \(0, 1\)"):
             _ed_threshold(1.5, 2000, seed=0)
 
+    def test_pfa_whose_floor_overflows_refused(self):
+        """ceil(100/pfa) is infinite below about 5.6e-307: a ValueError, not an OverflowError."""
+        with pytest.raises(ValueError, match=r"^pfa 1e-320 is too small"):
+            _ed_threshold(1e-320, 2000, seed=0)
+        with pytest.raises(ValueError, match=r"^pfa 1e-320 is too small"):
+            pd_curves([DetectorKind.ED], None, WHITE, [0.0], 1e-320, 2000, 10, seed=0, cal_seed=1)
+
     def test_shared_calibration_matches_single(self):
         kinds = [DetectorKind.ED, DetectorKind.CHD]
         shared = calibrate_thresholds(kinds, None, WHITE, 0.05, 2000, seed=4)

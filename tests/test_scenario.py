@@ -300,7 +300,10 @@ class TestRecordedSeries:
     @pytest.mark.parametrize(
         "row, message",
         [("1, 2", "expected 4 fields, got 2"), ("1.0, 1, 0.0, 0.0", "cannot read"),
-         ("1, 1, 9.0, 0.0", r"duplicate cell \(1, 1\)")],
+         ("1, 1, 9.0, 0.0", r"duplicate cell \(1, 1\)"),
+         ("1, 2, nan, 0.0", "re and im must be finite, got '1, 2, nan, 0.0'"),
+         ("1, 2, 0.0, nan", "re and im must be finite"), ("1, 2, inf, 0.0", "re and im must be finite"),
+         ("1, 2, 0.0, -inf", "re and im must be finite")],
     )
     def test_bad_row_is_named_by_its_file_line(self, tmp_path, row, message):
         path = tmp_path / "rec.csv"
