@@ -5,6 +5,13 @@ per-trial streams keyed by (seed, trial index).  Aggregation concatenates
 blocks in index order, so results are bit-identical for any worker count and
 any scheduling; the sequential path runs the very same block function.
 
+A sweep over several scenarios simulates each trial once: one block function
+scores a trial range at every grid point, drawing once per distinct draw law
+(a delta or SNR grid shares one set of draws, a Gamma-shape grid draws per
+point), and every block of the sweep goes through one process pool, as every
+block of a calibration does.  Curves keep per-point exceedance counts as
+blocks arrive, never a point's statistics.
+
 Thresholds are upper order statistics of the simulated null distribution
 (rank ceil((1 - pfa) * trials), ascending), tested with strict exceedance.
 Confidence intervals are Wilson score at 95%.
@@ -32,7 +39,15 @@ from .estimation import (
     ml_init,
 )
 from .numerics import _sq_norm
-from .scenario import Hypothesis, ScenarioConfig, directions, gen_block
+from .scenario import (
+    Hypothesis,
+    ScenarioConfig,
+    _bursts,
+    _draw_block,
+    _draw_law,
+    directions,
+    gen_block,
+)
 
 BLOCK_SIZE = 512
 MAX_TRIALS = 2**40  # 8 TiB of float64 per detector's statistics; over 150 CPU-days of bursts
@@ -117,13 +132,56 @@ def curve_point(abscissa: float, successes: int, trials: int) -> CurvePoint:
 
 
 def _sample_block(args):
-    kinds, cfg, scen, hypothesis, seed, start, count = args
-    x, sigma2 = gen_block(scen, hypothesis, seed, start, count)
-    try:
-        return statistics_batch(x, kinds, cfg, true_mean=scen.target_mean, true_sigma2=sigma2)
-    except NonFiniteStatistic as exc:
-        # The burst index is relative to the block; name the trial too.
-        raise ValueError(f"{exc} (trial {start + exc.burst})") from None
+    """[{kind: statistics}] per scenario for trials start..start+count-1."""
+    kinds, cfg, scens, hypothesis, seed, start, count = args
+    draws = {}
+    results = []
+    for scen in scens:
+        law = _draw_law(scen)
+        if law not in draws:
+            draws[law] = _draw_block(scen, seed, start, count)
+        x, sigma2 = _bursts(scen, hypothesis, *draws[law])
+        try:
+            stats = statistics_batch(x, kinds, cfg, true_mean=scen.target_mean, true_sigma2=sigma2)
+        except NonFiniteStatistic as exc:
+            # The burst index is relative to the block; name the trial too.
+            raise ValueError(f"{exc} (trial {start + exc.burst})") from None
+        results.append(stats)
+    return results
+
+
+def _block_results(kinds, cfg, scens, hypothesis, trials: int, seed: int, workers: int):
+    """Yield each block's `_sample_block` result, in trial order.
+
+    Every block goes through one pool.  If a pool worker dies, raises
+    ValueError naming the first trial of the first block whose result never
+    came.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ValueError("trials must be at most MAX_TRIALS = 2**40")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    starts = range(0, trials, BLOCK_SIZE)
+    blocks = [
+        (tuple(kinds), cfg, tuple(scens), hypothesis, seed, start, min(BLOCK_SIZE, trials - start))
+        for start in starts
+    ]
+    if workers == 1 or len(blocks) == 1:
+        for block in blocks:
+            yield _sample_block(block)
+        return
+    # The pool forks all of its workers at the first submit, used or not.
+    done = 0
+    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        try:
+            for result in pool.map(_sample_block, blocks):
+                yield result
+                done += 1
+        except BrokenProcessPool:
+            start = starts[done]
+            raise ValueError(f"a worker process died; the block at trial {start} never finished") from None
 
 
 def sample_statistics(
@@ -143,30 +201,8 @@ def sample_statistics(
     whose result never came.
     """
     kinds = list(kinds)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if trials > MAX_TRIALS:
-        raise ValueError("trials must be at most MAX_TRIALS = 2**40")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    starts = list(range(0, trials, BLOCK_SIZE))
-    blocks = [
-        (tuple(kinds), cfg, scen, hypothesis, seed, start, min(BLOCK_SIZE, trials - start))
-        for start in starts
-    ]
-    if workers == 1 or len(blocks) == 1:
-        results = [_sample_block(b) for b in blocks]
-    else:
-        # The pool forks all of its workers at the first submit, used or not.
-        results = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            try:
-                for result in pool.map(_sample_block, blocks):
-                    results.append(result)
-            except BrokenProcessPool:
-                start = starts[len(results)]
-                raise ValueError(f"a worker process died; the block at trial {start} never finished") from None
-    return {kind: np.concatenate([r[kind] for r in results]) for kind in kinds}
+    blocks = list(_block_results(kinds, cfg, [scen], hypothesis, trials, seed, workers))
+    return {kind: np.concatenate([b[0][kind] for b in blocks]) for kind in kinds}
 
 
 def statistics_for_bursts(bursts, kinds, cfg: EstimationConfig | None = None) -> dict:
@@ -237,23 +273,36 @@ def exceedance_curves(kinds, thresholds: dict, samples) -> dict:
     curves = {kind: [] for kind in kinds}
     for i, (abscissa, stats) in enumerate(samples):
         for kind in kinds:
-            th = thresholds[kind]
-            eta = th if np.ndim(th) == 0 else th[i]
-            exceed = int(np.count_nonzero(stats[kind] > eta))
+            exceed = _exceeding(stats[kind], thresholds[kind], i)
             curves[kind].append(curve_point(abscissa, exceed, stats[kind].size))
     return curves
+
+
+def _exceeding(stats: np.ndarray, threshold, i: int) -> int:
+    """How many statistics strictly exceed the threshold at point i (one eta, or one per point)."""
+    eta = threshold if np.ndim(threshold) == 0 else threshold[i]
+    return int(np.count_nonzero(stats > eta))
 
 
 def _exceedance_curves(kinds, cfg, thresholds: dict, points, hypothesis, trials, seed, workers) -> dict:
     """Exceedance-rate curves over (abscissa, scenario) points.
 
-    Every detector sees the same simulated bursts at each point.
+    Every detector sees the same simulated bursts at each point, and every
+    point the same trials: the trials are simulated once, through one pool,
+    and points whose scenarios share a draw law share the draws.  Each
+    block's statistics are reduced to exceedance counts as the block
+    arrives, so only the counts are kept.
     """
-    samples = (
-        (abscissa, sample_statistics(kinds, cfg, scen, hypothesis, trials, seed, workers))
-        for abscissa, scen in points
-    )
-    return exceedance_curves(kinds, thresholds, samples)
+    counts = {kind: [0] * len(points) for kind in kinds}
+    scens = [scen for _, scen in points]
+    for block in _block_results(kinds, cfg, scens, hypothesis, trials, seed, workers):
+        for i, stats in enumerate(block):
+            for kind in kinds:
+                counts[kind][i] += _exceeding(stats[kind], thresholds[kind], i)
+    return {
+        kind: [curve_point(abscissa, counts[kind][i], trials) for i, (abscissa, _) in enumerate(points)]
+        for kind in kinds
+    }
 
 
 def pfa_sweep(
@@ -267,7 +316,8 @@ def pfa_sweep(
 ) -> dict:
     """Estimated Pfa for several detectors across mismatched scenarios.
 
-    One shared simulation per scenario; returns {kind: [CurvePoint, ...]}.
+    Every scenario scores one shared simulation of the trials; returns
+    {kind: [CurvePoint, ...]}.
     """
     kinds = list(kinds)
     scens = list(scens)

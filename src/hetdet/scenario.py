@@ -114,7 +114,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx, NEP 19) and
-# the PCG64 multiplier.  `gen_block` rebuilds each trial's `trial_rng` stream
+# the PCG64 multiplier.  `_draw_block` rebuilds each trial's `trial_rng` stream
 # from them, bit for bit, without constructing a SeedSequence per trial.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -199,6 +199,11 @@ def _stream_states(seed: int, trials) -> np.ndarray:
     return out
 
 
+def _draw_law(cfg: ScenarioConfig):
+    """All that a trial's raw draws read of the scenario: equal laws draw equal bits."""
+    return cfg.k, cfg.texture_shape if cfg.delta is None else None
+
+
 def _fill_draws(cfg: ScenarioConfig, rng: np.random.Generator, u: np.ndarray, g: np.ndarray):
     """One burst's raw draws in stream order: variance variates into u (K,), normals into g (K, 2)."""
     if cfg.delta is not None:
@@ -210,6 +215,8 @@ def _fill_draws(cfg: ScenarioConfig, rng: np.random.Generator, u: np.ndarray, g:
 
 def _bursts(cfg: ScenarioConfig, hypothesis: Hypothesis, u: np.ndarray, g: np.ndarray):
     """Samples (B, K, 2) and per-sample variances (B, K) from raw draws u (B, K), g (B, K, 2)."""
+    if not isinstance(hypothesis, Hypothesis):
+        raise ValueError("hypothesis must be a Hypothesis value")
     if cfg.delta is not None:
         sigma2 = cfg.delta * u + cfg.sigma_n2
     else:
@@ -224,12 +231,19 @@ def gen_block(cfg: ScenarioConfig, hypothesis: Hypothesis, seed: int, start: int
     """Raw arrays for trials start..start+count-1: samples (B, K, 2), variances (B, K).
 
     Each trial draws from exactly its `trial_rng(seed, trial)` stream, making
-    the block contents independent of how trials are grouped into blocks.  The
-    streams' PCG64 states come from one vectorized SeedSequence hash per block
-    and are loaded in turn into a single generator.
+    the block contents independent of how trials are grouped into blocks.
     """
-    if not isinstance(hypothesis, Hypothesis):
-        raise ValueError("hypothesis must be a Hypothesis value")
+    return _bursts(cfg, hypothesis, *_draw_block(cfg, seed, start, count))
+
+
+def _draw_block(cfg: ScenarioConfig, seed: int, start: int, count: int):
+    """Raw draws u (B, K) and g (B, K, 2) of trials start..start+count-1.
+
+    They depend on the scenario only through its `_draw_law`, so scenarios
+    that differ in anything else can turn one set of draws into their bursts.
+    The streams' PCG64 states come from one vectorized SeedSequence hash per
+    block and are loaded in turn into a single generator.
+    """
     # Rejects what trial_rng would reject; a seed of None draws fresh entropy.
     seed = operator.index(np.random.SeedSequence(seed).entropy)
     if operator.index(start) < 0:
@@ -249,7 +263,7 @@ def gen_block(cfg: ScenarioConfig, hypothesis: Hypothesis, seed: int, start: int
             "uinteger": 0,
         }
         _fill_draws(cfg, rng, u[i], g[i])
-    return _bursts(cfg, hypothesis, u, g)
+    return u, g
 
 
 @dataclass(frozen=True)
@@ -374,12 +388,20 @@ def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", see
     cells = cells.reshape(bins.size, n_pulses)
     if offset != 0.0:
         if offset_mode == "literal":
-            cells = cells + offset
+            with np.errstate(over="ignore"):  # an overflow is named below, not warned of
+                cells = cells + offset
         else:
             rng = np.random.default_rng(seed)
             scale = np.sqrt(offset / 2.0)
             noise = scale * (rng.standard_normal(cells.shape) + 1j * rng.standard_normal(cells.shape))
             cells = cells + noise
+        finite = np.isfinite(cells.reshape(-1)[key])
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(
+                f"{path}:{_numbered_rows(path)[i][0]}: cell ({b[i]}, {p[i]}) overflows with the "
+                f"{offset_mode} offset {offset!r}"
+            )
     return RecordedSeries(cells=cells, bin_labels=bins)
 
 

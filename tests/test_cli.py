@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -573,6 +574,22 @@ class TestMainExitCodes:
         assert main(["power-trace", "--recorded", str(bad), "--out", str(tmp_path / "p.csv")]) == 3
         assert capsys.readouterr().err == f"error: {bad}:3: re and im must be finite, got {row!r}\n"
 
+    @pytest.mark.parametrize("command", [["power-trace"],
+                                         ["cfar-sweep", "--k", "2", "--pfa", "0.1", "--cal-trials", "1000"]])
+    def test_offset_overflow_is_named_by_its_line(self, tmp_path, capsys, command):
+        big = tmp_path / "big.csv"
+        big.write_text("bin_index,pulse_index,re,im\n0,1,1.0,1.0\n\n0,0,1.7e308,0\n")
+        # A warning would reach stderr ahead of the error in a real run.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*command, "--recorded", str(big), "--offset", "1e308",
+                         "--out", str(tmp_path / "p.csv")])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            f"error: {big}:4: cell (0, 0) overflows with the literal offset 1e+308\n"
+        )
+
     def test_malformed_recorded_file_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("bin_index,pulse_index,re,im\n0,0,oops,1.0\n")
@@ -839,6 +856,21 @@ PINNED_ARTIFACTS = {
          "--snr-grid", "0,6", "--pfa", "0.1", "--cal-trials", "1000", "--trials", "200",
          "--seed", "5", "--workers", "1"],
         "b0e0ca94c659208791375035089d4525a208e1ed14dfc3dd1427d63ef8a66d5e",
+    ),
+    # A Gamma-shape grid, whose points draw under different laws, through a pool.
+    "cfar-sweep-q-grid-pool": (
+        ["cfar-sweep", "--detectors", "gd-he,agd,c-agd,ed,ca-chd", "--q-grid", "0.5,2",
+         "--k", "8", "--pfa", "0.1", "--cal-trials", "1000", "--trials", "1100", "--seed", "4",
+         "--workers", "2"],
+        "1e589971c244208190e3d0647cfab98e68b9cd0219b3106be701ef4711525d52",
+    ),
+    # Per-SNR cd thresholds and a partial last block, through a pool; the same
+    # bytes at --workers 1.
+    "pd-curve-adaptive-cd-pool": (
+        ["pd-curve", "--detectors", "agd,c-gd-he,cd,ed", "--delta", "4", "--k", "8",
+         "--snr-grid", "0,6", "--pfa", "0.1", "--cal-trials", "1000", "--trials", "1100",
+         "--seed", "5", "--workers", "2"],
+        "acf35c1a6d6fb5f49b3702b0a6543aa5cb4ad217d39c655a03ad68c60642be5d",
     ),
     "convergence-alg1": (
         ["convergence", "--algorithm", "alg1", "--delta", "5", "--k", "8", "--trials", "100"],

@@ -173,18 +173,52 @@ def _dies_in_second_block(args):
     return _sample_block(args)
 
 
+def _inline_pools(monkeypatch) -> list:
+    """Run every pool's blocks in this process; returns the list of pool sizes started."""
+    pool_sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    return pool_sizes
+
+
+def _counted_draws(monkeypatch) -> list:
+    """The start of every block drawn through montecarlo's raw-draw global, in call order."""
+    starts = []
+    draw = montecarlo._draw_block
+
+    def counted(scen, seed, start, count):
+        starts.append(start)
+        return draw(scen, seed, start, count)
+
+    monkeypatch.setattr(montecarlo, "_draw_block", counted)
+    return starts
+
+
 class TestSampleStatistics:
     @pytest.mark.parametrize("kind", [DetectorKind.AGD, DetectorKind.C_GD_HE])
     def test_non_finite_error_names_the_trial(self, monkeypatch, kind):
         scen = ScenarioConfig(k=16, delta=10.0)
         cfg = EstimationConfig(n_co2=2)
         fused = estimation._em_parts
-        generate = montecarlo.gen_block
+        draw = montecarlo._draw_block
         block = {}
 
-        def gen(scen, hypothesis, seed, start, count):
+        def drawn(scen, seed, start, count):
             block["start"] = start
-            return generate(scen, hypothesis, seed, start, count)
+            return draw(scen, seed, start, count)
 
         def poisoned(p, sigma2):
             log_term, mean, resid = fused(p, sigma2)
@@ -192,10 +226,10 @@ class TestSampleStatistics:
                 mean[3] = np.nan
             return log_term, mean, resid
 
-        monkeypatch.setattr(montecarlo, "gen_block", gen)
+        monkeypatch.setattr(montecarlo, "_draw_block", drawn)
         monkeypatch.setattr(estimation, "_em_parts", poisoned)
         # Where the NaN lands within the second block, from the batch alone.
-        x, _ = gen(scen, Hypothesis.H0, 9, 512, 8)
+        x, _ = montecarlo._bursts(scen, Hypothesis.H0, *drawn(scen, 9, 512, 8))
         with pytest.raises(NonFiniteStatistic) as err:
             statistics_batch(x, [kind], cfg)
         i = err.value.burst
@@ -222,22 +256,7 @@ class TestSampleStatistics:
         np.testing.assert_array_equal(stats[DetectorKind.CD], expected)
 
     def test_pool_capped_at_block_count(self, monkeypatch):
-        pool_sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        pool_sizes = _inline_pools(monkeypatch)
         trials = 2 * montecarlo.BLOCK_SIZE
         stats = sample_statistics([DetectorKind.ED], None, WHITE, Hypothesis.H0, trials, seed=8, workers=8)
         assert pool_sizes == [2]
@@ -275,6 +294,99 @@ class TestTrialBound:
         monkeypatch.setattr(montecarlo, "gen_block", _draw_refused)
         with pytest.raises(ValueError, match="at most MAX_TRIALS = 2"):
             convergence_trace(AlgorithmTag.ALG1, WHITE, montecarlo.MAX_TRIALS + 1, seed=0)
+
+
+class TestSharedGrid:
+    """A grid's points score one simulation of the trials, in one pool."""
+
+    KINDS = [DetectorKind.GD_HE, DetectorKind.ED, DetectorKind.CHD]
+    TRIALS = 1100  # two full blocks and a partial one
+
+    def _thresholds(self):
+        return calibrate_thresholds(self.KINDS, EST, WHITE, 0.1, 1000, seed=40)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "scens",
+        [[ScenarioConfig(k=8, delta=d) for d in (0.0, 5.0, 20.0)],
+         [ScenarioConfig(k=8, texture_shape=q) for q in (0.5, 2.0)]],
+        ids=["delta", "q"],
+    )
+    def test_sweep_equals_one_point_sweeps(self, scens, workers):
+        ths = self._thresholds()
+        curves = pfa_sweep(self.KINDS, EST, ths, scens, self.TRIALS, seed=41, workers=workers)
+        for i, scen in enumerate(scens):
+            alone = pfa_sweep(self.KINDS, EST, ths, [scen], self.TRIALS, seed=41)
+            for kind in self.KINDS:
+                assert curves[kind][i] == alone[kind][0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pd_curves_equal_one_point_runs(self, workers):
+        scen = ScenarioConfig(k=8, delta=4.0)
+        kinds = [DetectorKind.CD, DetectorKind.ED]
+        grid = [0.0, 6.0, 12.0]
+        run = dict(nominal_pfa=0.1, cal_trials=1100, trials=self.TRIALS, seed=42, cal_seed=43)
+        curves, ths = pd_curves(kinds, None, scen, grid, workers=workers, **run)
+        assert len(ths[DetectorKind.CD]) == len(grid)
+        for i, snr in enumerate(grid):
+            alone, alone_ths = pd_curves(kinds, None, scen, [snr], **run)
+            # The per-SNR calibration gives what its own calibration would.
+            assert alone_ths[DetectorKind.CD] == (ths[DetectorKind.CD][i],)
+            assert ths[DetectorKind.CD][i] == calibrate_thresholds(
+                [DetectorKind.CD], None, replace(scen, snr_db=snr), 0.1, 1100, seed=43
+            )[DetectorKind.CD]
+            assert alone_ths[DetectorKind.ED] == ths[DetectorKind.ED]
+            for kind in kinds:
+                assert curves[kind][i] == alone[kind][0]
+
+    def test_delta_and_snr_grids_draw_each_block_once(self, monkeypatch):
+        starts = _counted_draws(monkeypatch)
+        scens = [ScenarioConfig(k=8, delta=d) for d in (0.0, 5.0, 20.0)]
+        pfa_sweep([DetectorKind.ED], None, {DetectorKind.ED: 20.0}, scens, self.TRIALS, seed=44)
+        assert starts == [0, 512, 1024]
+        starts.clear()
+        pd_curves([DetectorKind.CD, DetectorKind.ED], None, ScenarioConfig(k=8, delta=4.0),
+                  [0.0, 6.0, 12.0], nominal_pfa=0.1, cal_trials=1000, trials=self.TRIALS,
+                  seed=45, cal_seed=46)
+        # ed's calibration, cd's calibration at each SNR, then the evaluation.
+        assert starts == [0, 512] + [0, 512] * 3 + [0, 512, 1024]
+
+    def test_q_grid_draws_each_point(self, monkeypatch):
+        starts = _counted_draws(monkeypatch)
+        scens = [ScenarioConfig(k=8, texture_shape=q) for q in (0.5, 2.0)]
+        pfa_sweep([DetectorKind.ED], None, {DetectorKind.ED: 20.0}, scens, self.TRIALS, seed=44)
+        assert starts == [0, 0, 512, 512, 1024, 1024]
+
+    def test_one_pool_per_sweep(self, monkeypatch):
+        pool_sizes = _inline_pools(monkeypatch)
+        ths = self._thresholds()
+        scens = [ScenarioConfig(k=8, delta=d) for d in (0.0, 1.0, 10.0, 50.0)]
+        curves = pfa_sweep(self.KINDS, EST, ths, scens, self.TRIALS, seed=47, workers=2)
+        assert pool_sizes == [2]
+        assert curves == pfa_sweep(self.KINDS, EST, ths, scens, self.TRIALS, seed=47)
+        pool_sizes.clear()
+        pd_curves([DetectorKind.CD, DetectorKind.ED], None, ScenarioConfig(k=8, delta=4.0),
+                  [0.0, 3.0, 6.0, 12.0], nominal_pfa=0.1, cal_trials=1100, trials=self.TRIALS,
+                  seed=48, cal_seed=49, workers=2)
+        # ed's calibration, cd's calibration at each of the four SNRs, and one
+        # pool for the evaluation.
+        assert pool_sizes == [2] * 6
+
+    def test_non_finite_error_at_a_later_point_names_the_trial(self, monkeypatch):
+        scens = [ScenarioConfig(k=8, delta=d) for d in (0.0, 5.0, 20.0)]
+        bursts = montecarlo._bursts
+        starts = _counted_draws(monkeypatch)
+
+        def poisoned(scen, hypothesis, u, g):
+            x, sigma2 = bursts(scen, hypothesis, u, g)
+            if starts[-1] == 512 and scen is scens[1]:
+                x[5, 2, 0] = 1e300  # finite, but its energy is not
+            return x, sigma2
+
+        monkeypatch.setattr(montecarlo, "_bursts", poisoned)
+        message = r"^ed statistic is not finite at burst 5 \(trial 517\)$"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            pfa_sweep([DetectorKind.ED], None, {DetectorKind.ED: 20.0}, scens, self.TRIALS, seed=50)
 
 
 class TestPfaEstimation:

@@ -332,6 +332,15 @@ class TestRecordedSeries:
         shifted = ingest_recorded(path, offset=2.5)
         np.testing.assert_allclose(shifted.cells, base.cells + 2.5, rtol=1e-15)
 
+    def test_literal_offset_overflow_is_named_by_its_file_line(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("bin_index, pulse_index, re, im\n1, 1, 1.0, 0.0\n\n1, 0, -1e308, 1.7e308\n")
+        with np.errstate(all="raise"):  # an unguarded overflow would raise here
+            message = r"rec.csv:4: cell \(1, 0\) overflows with the literal offset -1e\+308$"
+            with pytest.raises(ValueError, match=message):
+                ingest_recorded(path, offset=-1e308)
+        assert ingest_recorded(path, offset=1e308).row(1)[0] == complex(0.0, 1.7e308)
+
     def test_noise_offset_adds_power_deterministically(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_text(
