@@ -85,6 +85,18 @@ class NonFiniteStatistic(ValueError):
         return f"{self.detector.value} statistic is not finite at burst {self.burst}"
 
 
+class ZeroNormSample(ValueError):
+    """A burst of a batch holds a sample of zero magnitude, which has no direction."""
+
+    def __init__(self, burst: int, pulse: int):
+        super().__init__(burst, pulse)
+        self.burst = burst
+        self.pulse = pulse
+
+    def __str__(self) -> str:
+        return f"cannot normalize a zero-norm sample at burst {self.burst}, pulse {self.pulse}"
+
+
 def _angular(kind: DetectorKind, z: np.ndarray, m: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     # log1p_mills would reject a non-finite estimate without naming the detector or burst.
     bad = np.flatnonzero(~(np.all(np.isfinite(m), axis=-1) & np.all(np.isfinite(sigma2), axis=-1)))
@@ -148,7 +160,8 @@ def statistics_batch(
     true_sigma2 of shape (K,) or (B, K).  Returns {kind: (B,) array}; raises
     NonFiniteStatistic, a ValueError, naming the detector and the first
     burst index if any statistic, or the estimate it is evaluated at, is not
-    finite.
+    finite, and ZeroNormSample, a ValueError naming the first burst and pulse,
+    if a kind that reads directions meets a sample of zero magnitude.
     """
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 3 or x.shape[2] != 2:
@@ -184,6 +197,9 @@ def statistics_batch(
             raise ValueError("true_sigma2 must be finite and positive")
         v["truth"] = true_mean, true_sigma2
     if "z" in reads:
+        zero = np.argwhere(e == 0.0)
+        if zero.size:
+            raise ZeroNormSample(int(zero[0, 0]), int(zero[0, 1]))
         v["z"] = _directions(x, e)[0]
     if "ml" in reads:
         v["ml"] = cyclic_ml_batch(x, ml_init(e, cfg), cfg.c0, cfg.n_co1, cfg.eps)[:2]

@@ -5,16 +5,21 @@ per-trial streams keyed by (seed, trial index).  Aggregation concatenates
 blocks in index order, so results are bit-identical for any worker count and
 any scheduling; the sequential path runs the very same block function.
 
-A sweep over several scenarios simulates each trial once: one block function
-scores a trial range at every grid point, drawing once per distinct draw law
-(a delta or SNR grid shares one set of draws, a Gamma-shape grid draws per
-point), and every block of the sweep goes through one process pool, as every
-block of a calibration does.  Curves keep per-point exceedance counts as
-blocks arrive, never a point's statistics.
+A run over several (scenario, detectors) points simulates each trial once:
+one block function scores a trial range at every point, drawing once per
+distinct draw law (a delta or SNR grid shares one set of draws, a Gamma-shape
+grid draws per point), and every block of a sweep or a calibration goes
+through one process pool.  A `pd_curves` calibration is one such run: its
+fixed detectors at the matched scenario and each truth-reading detector at
+every SNR.  Curves keep per-point exceedance counts as blocks arrive, never a
+point's statistics.
 
 Thresholds are upper order statistics of the simulated null distribution
 (rank ceil((1 - pfa) * trials), ascending), tested with strict exceedance.
-Confidence intervals are Wilson score at 95%.
+A calibration streams each detector's statistics through `_UpperTail`, which
+keeps only the trials - rank + 1 largest, about pfa * trials values, so the
+eta is the smallest kept value, bit for bit the rank-th of the sorted
+statistics.  Confidence intervals are Wilson score at 95%.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detectors import NonFiniteStatistic, statistics_batch
+from .detectors import NonFiniteStatistic, ZeroNormSample, statistics_batch
 from .estimation import (
     EstimationConfig,
     cyclic_em_batch,
@@ -132,26 +137,26 @@ def curve_point(abscissa: float, successes: int, trials: int) -> CurvePoint:
 
 
 def _sample_block(args):
-    """[{kind: statistics}] per scenario for trials start..start+count-1."""
-    kinds, cfg, scens, hypothesis, seed, start, count = args
+    """[{kind: statistics}] per (scenario, kinds) point for trials start..start+count-1."""
+    cfg, points, hypothesis, seed, start, count = args
     draws = {}
     results = []
-    for scen in scens:
+    for scen, kinds in points:
         law = _draw_law(scen)
         if law not in draws:
             draws[law] = _draw_block(scen, seed, start, count)
         x, sigma2 = _bursts(scen, hypothesis, *draws[law])
         try:
             stats = statistics_batch(x, kinds, cfg, true_mean=scen.target_mean, true_sigma2=sigma2)
-        except NonFiniteStatistic as exc:
+        except (NonFiniteStatistic, ZeroNormSample) as exc:
             # The burst index is relative to the block; name the trial too.
             raise ValueError(f"{exc} (trial {start + exc.burst})") from None
         results.append(stats)
     return results
 
 
-def _block_results(kinds, cfg, scens, hypothesis, trials: int, seed: int, workers: int):
-    """Yield each block's `_sample_block` result, in trial order.
+def _block_results(cfg, points, hypothesis, trials: int, seed: int, workers: int):
+    """Yield each block's `_sample_block` result over (scenario, kinds) points, in trial order.
 
     Every block goes through one pool.  If a pool worker dies, raises
     ValueError naming the first trial of the first block whose result never
@@ -163,11 +168,9 @@ def _block_results(kinds, cfg, scens, hypothesis, trials: int, seed: int, worker
         raise ValueError("trials must be at most MAX_TRIALS = 2**40")
     if workers < 1:
         raise ValueError("workers must be positive")
+    points = tuple((scen, tuple(kinds)) for scen, kinds in points)
     starts = range(0, trials, BLOCK_SIZE)
-    blocks = [
-        (tuple(kinds), cfg, tuple(scens), hypothesis, seed, start, min(BLOCK_SIZE, trials - start))
-        for start in starts
-    ]
+    blocks = [(cfg, points, hypothesis, seed, start, min(BLOCK_SIZE, trials - start)) for start in starts]
     if workers == 1 or len(blocks) == 1:
         for block in blocks:
             yield _sample_block(block)
@@ -201,7 +204,7 @@ def sample_statistics(
     whose result never came.
     """
     kinds = list(kinds)
-    blocks = list(_block_results(kinds, cfg, [scen], hypothesis, trials, seed, workers))
+    blocks = list(_block_results(cfg, [(scen, kinds)], hypothesis, trials, seed, workers))
     return {kind: np.concatenate([b[0][kind] for b in blocks]) for kind in kinds}
 
 
@@ -216,9 +219,40 @@ def statistics_for_bursts(bursts, kinds, cfg: EstimationConfig | None = None) ->
     return statistics_batch(x, kinds, cfg)
 
 
-def _rank_threshold(stats: np.ndarray, nominal_pfa: float) -> float:
-    rank = int(np.ceil((1.0 - nominal_pfa) * stats.size))
-    return float(np.sort(stats)[rank - 1])
+class _UpperTail:
+    """The CFAR threshold of `trials` statistics that arrive in blocks.
+
+    The eta at `nominal_pfa` is the rank-th smallest statistic, rank =
+    ceil((1 - pfa) * trials), which is the `keep`-th largest, keep = trials -
+    rank + 1.  Blocks are held as they arrive; once more than 2 * keep values
+    are held, one `np.partition` cuts them back to the largest `keep`.  So at
+    most 2 * keep values are held between blocks, each cut follows at least
+    keep new values and the work stays linear in `trials`.  A kept value is a
+    statistic itself, so `eta` has the bits of np.sort(all)[rank - 1].
+    """
+
+    def __init__(self, nominal_pfa: float, trials: int):
+        self.keep = trials - int(np.ceil((1.0 - nominal_pfa) * trials)) + 1
+        self.blocks = []
+        self.held = 0
+
+    def add(self, values: np.ndarray):
+        self.blocks.append(values)
+        self.held += values.size
+        if self.held > 2 * self.keep:
+            self.blocks = [self._largest()]
+            self.held = self.keep
+
+    def _largest(self) -> np.ndarray:
+        """The `keep` largest values held, the keep-th largest first."""
+        values = np.concatenate(self.blocks)
+        cut = values.size - self.keep
+        values.partition(cut)
+        return values[cut:].copy()  # a view would keep every value alive
+
+    def eta(self) -> float:
+        """The keep-th largest statistic added; every statistic must have been added."""
+        return float(self._largest()[0])
 
 
 def _calibration_floor(nominal_pfa: float) -> int:
@@ -252,10 +286,22 @@ def calibrate_thresholds(
 
     Returns {kind: eta}, each eta a float.
     """
-    kinds = list(kinds)
+    return _calibrate(cfg, [(scen, list(kinds))], nominal_pfa, trials, seed, workers)[0]
+
+
+def _calibrate(cfg, points, nominal_pfa: float, trials: int, seed: int, workers: int) -> list:
+    """{kind: eta} per (scenario, kinds) point, all from one null simulation of the trials.
+
+    Each block's statistics go into their `_UpperTail` as the block arrives,
+    so only the statistics at or above each eta are kept.
+    """
     _check_calibration_size(trials, nominal_pfa)
-    stats = sample_statistics(kinds, cfg, scen, Hypothesis.H0, trials, seed, workers)
-    return {kind: _rank_threshold(stats[kind], nominal_pfa) for kind in kinds}
+    tails = [{kind: _UpperTail(nominal_pfa, trials) for kind in kinds} for _, kinds in points]
+    for block in _block_results(cfg, points, Hypothesis.H0, trials, seed, workers):
+        for point_tails, stats in zip(tails, block):
+            for kind, tail in point_tails.items():
+                tail.add(stats[kind])
+    return [{kind: tail.eta() for kind, tail in point_tails.items()} for point_tails in tails]
 
 
 def _h0_abscissa(scen: ScenarioConfig) -> float:
@@ -294,8 +340,8 @@ def _exceedance_curves(kinds, cfg, thresholds: dict, points, hypothesis, trials,
     arrives, so only the counts are kept.
     """
     counts = {kind: [0] * len(points) for kind in kinds}
-    scens = [scen for _, scen in points]
-    for block in _block_results(kinds, cfg, scens, hypothesis, trials, seed, workers):
+    scored = [(scen, kinds) for _, scen in points]
+    for block in _block_results(cfg, scored, hypothesis, trials, seed, workers):
         for i, stats in enumerate(block):
             for kind in kinds:
                 counts[kind][i] += _exceeding(stats[kind], thresholds[kind], i)
@@ -363,13 +409,16 @@ def pd_curves(
     if len(set(kinds)) != len(kinds) or not kinds:
         raise ValueError("kinds must be non-empty and unique")
     points = _snr_points(scen, snr_grid)
-    # The truth's mean moves with SNR, so a detector that reads it gets one eta per SNR.
+    # The truth's mean moves with SNR, so a detector that reads it gets one eta
+    # per SNR.  One pass over the null trials calibrates every point.
     moving = [k for k in kinds if k.requires_truth]
     fixed = [k for k in kinds if k not in moving]
-    calibration = (nominal_pfa, cal_trials, cal_seed, workers)
-    thresholds = calibrate_thresholds(fixed, cfg, scen, *calibration) if fixed else {}
-    per_snr = [calibrate_thresholds(moving, cfg, at, *calibration) for _, at in points] if moving else []
-    thresholds.update({k: tuple(etas[k] for etas in per_snr) for k in moving})
+    cal_points = [(scen, fixed)] if fixed else []
+    if moving:
+        cal_points += [(at, moving) for _, at in points]
+    etas = _calibrate(cfg, cal_points, nominal_pfa, cal_trials, cal_seed, workers)
+    thresholds = etas.pop(0) if fixed else {}
+    thresholds.update({k: tuple(at[k] for at in etas) for k in moving})
 
     curves = _exceedance_curves(kinds, cfg, thresholds, points, Hypothesis.H1, trials, seed, workers)
     return curves, thresholds

@@ -542,6 +542,16 @@ class TestMainExitCodes:
         assert main([*args, "--detectors", "ed,gd-he"]) == 0
         assert capsys.readouterr().err.startswith("calibrating")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_zero_norm_synthetic_sample_is_named_by_its_trial(self, tmp_path, capsys, workers):
+        # At q = 0.01 numpy's Gamma sampler returns textures of exactly 0.0.
+        code = main(["cfar-sweep", "--q-grid", "0.01", "--detectors", "ed,gd-he,c-agd",
+                     "--pfa", "0.1", "--cal-trials", "1000", "--trials", "2000",
+                     "--workers", workers, "--out", str(tmp_path / "q.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.endswith("\nerror: cannot normalize a zero-norm sample at burst 131, pulse 3 (trial 131)\n")
+
     def test_non_finite_statistic_is_3(self, tmp_path, capsys, monkeypatch):
         fused = estimation._em_parts
 

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetdet import estimation
-from hetdet.detectors import DetectorKind, NonFiniteStatistic, angular_statistic, statistics_batch
+from hetdet.detectors import (
+    DetectorKind,
+    NonFiniteStatistic,
+    ZeroNormSample,
+    angular_statistic,
+    statistics_batch,
+)
 from hetdet.estimation import EstimationConfig
 from hetdet.scenario import Hypothesis, ScenarioConfig, gen_block
 
@@ -253,6 +259,16 @@ class TestStatisticsBatch:
             statistics_batch(x, [DetectorKind.AGD], EstimationConfig())
         ok = statistics_batch(x, [DetectorKind.ED], EstimationConfig())
         assert np.isfinite(ok[DetectorKind.ED][0])
+
+    def test_zero_norm_sample_is_named_by_burst_and_pulse(self):
+        x = np.ones((4, 6, 2))
+        x[3, 1] = 0.0
+        x[2, 4] = 0.0
+        message = r"^cannot normalize a zero-norm sample at burst 2, pulse 4$"
+        for kind in (DetectorKind.AGD, DetectorKind.C_AGD, DetectorKind.C_GD_HE):
+            with pytest.raises(ZeroNormSample, match=message) as err:
+                statistics_batch(x, [DetectorKind.ED, kind], EstimationConfig())
+            assert (err.value.burst, err.value.pulse) == (2, 4)
 
 
 def _poison_em_kernel(monkeypatch, row=3):

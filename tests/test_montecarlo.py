@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats as sps
 
 from dataclasses import replace
@@ -15,7 +16,7 @@ from hetdet.estimation import EstimationConfig
 from hetdet.montecarlo import (
     AlgorithmTag,
     CurvePoint,
-    _rank_threshold,
+    _UpperTail,
     calibrate_thresholds,
     convergence_trace,
     curve_point,
@@ -38,6 +39,19 @@ EST = EstimationConfig()
 
 def _draw_refused(*args, **kwargs):
     raise AssertionError("a trial was drawn")
+
+
+def _rank_threshold(stats, nominal_pfa, block=montecarlo.BLOCK_SIZE):
+    """The eta of `stats` at `nominal_pfa`, streamed through `_UpperTail` in blocks."""
+    tail = _UpperTail(nominal_pfa, stats.size)
+    for start in range(0, stats.size, block):
+        tail.add(stats[start:start + block])
+    return tail.eta()
+
+
+def _sorted_rank(stats, nominal_pfa):
+    """The eta by definition: the rank-th smallest statistic, rank = ceil((1 - pfa) * n)."""
+    return np.sort(stats)[int(np.ceil((1.0 - nominal_pfa) * stats.size)) - 1]
 
 
 def _ed_threshold(nominal_pfa, trials, seed):
@@ -133,6 +147,24 @@ class TestThresholdRank:
         stats = rng.standard_normal(10000)
         assert _rank_threshold(stats, 0.01) == np.sort(stats)[9899]
 
+    @given(
+        values=st.lists(st.integers(-5, 5), min_size=1, max_size=300),
+        cuts=st.lists(st.integers(1, 300), max_size=8),
+        nominal_pfa=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_streamed_eta_is_the_sorted_rank(self, values, cuts, nominal_pfa):
+        """Any block split of tied values gives the sorted rank's bits, holding at most 2 * keep."""
+        stats = np.array(values, dtype=float) / 4.0
+        tail = _UpperTail(nominal_pfa, stats.size)
+        assert tail.keep >= 1
+        edges = sorted({0, stats.size, *(c for c in cuts if c < stats.size)})
+        for a, b in zip(edges, edges[1:]):
+            tail.add(stats[a:b])
+            assert tail.held == sum(block.size for block in tail.blocks) <= 2 * tail.keep
+        eta = tail.eta()
+        assert isinstance(eta, float)
+        assert eta == _sorted_rank(stats, nominal_pfa)
+
 
 class TestCalibration:
     def test_energy_threshold_matches_chi_square_quantile(self):
@@ -154,6 +186,32 @@ class TestCalibration:
         with pytest.raises(ValueError, match=r"^pfa 1e-320 is too small"):
             pd_curves([DetectorKind.ED], None, WHITE, [0.0], 1e-320, 2000, 10, seed=0, cal_seed=1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("nominal_pfa, trials", [(0.5, 1300), (0.1, 1300), (0.01, 10100)])
+    def test_etas_are_sorted_ranks_bit_for_bit(self, nominal_pfa, trials, workers):
+        """The streamed etas equal the rank-th of every sorted statistic, at a partial last block."""
+        assert trials % montecarlo.BLOCK_SIZE
+        scen = ScenarioConfig(k=8, delta=4.0)
+        kinds = [DetectorKind.ED, DetectorKind.GD_HE, DetectorKind.CD]
+        run = (nominal_pfa, trials, 61, workers)
+
+        def sorted_ranks(at):
+            stats = sample_statistics(kinds, EST, at, Hypothesis.H0, trials, seed=61)
+            return {kind: _sorted_rank(stats[kind], nominal_pfa) for kind in kinds}
+
+        expected = sorted_ranks(scen)
+        etas = calibrate_thresholds(kinds, EST, scen, *run)
+        for kind in kinds:
+            assert np.float64(etas[kind]).tobytes() == expected[kind].tobytes()
+        grid = [0.0, 9.0]
+        _, ths = pd_curves(kinds, EST, scen, grid, nominal_pfa=nominal_pfa, cal_trials=trials, trials=10,
+                           seed=60, cal_seed=61, workers=workers)
+        for kind in (DetectorKind.ED, DetectorKind.GD_HE):
+            assert np.float64(ths[kind]).tobytes() == expected[kind].tobytes()
+        for snr, eta in zip(grid, ths[DetectorKind.CD]):
+            at = sorted_ranks(replace(scen, snr_db=snr))[DetectorKind.CD]
+            assert np.float64(eta).tobytes() == at.tobytes()
+
     def test_shared_calibration_matches_single(self):
         kinds = [DetectorKind.ED, DetectorKind.CHD]
         shared = calibrate_thresholds(kinds, None, WHITE, 0.05, 2000, seed=4)
@@ -167,7 +225,7 @@ _sample_block = montecarlo._sample_block
 
 def _dies_in_second_block(args):
     """Stand-in block function: the worker given the second block exits without a result."""
-    if args[5] == montecarlo.BLOCK_SIZE:
+    if args[4] == montecarlo.BLOCK_SIZE:
         time.sleep(2.0)  # the first block's result arrives before the pool breaks
         os._exit(1)
     return _sample_block(args)
@@ -348,8 +406,8 @@ class TestSharedGrid:
         pd_curves([DetectorKind.CD, DetectorKind.ED], None, ScenarioConfig(k=8, delta=4.0),
                   [0.0, 6.0, 12.0], nominal_pfa=0.1, cal_trials=1000, trials=self.TRIALS,
                   seed=45, cal_seed=46)
-        # ed's calibration, cd's calibration at each SNR, then the evaluation.
-        assert starts == [0, 512] + [0, 512] * 3 + [0, 512, 1024]
+        # One calibration pass for ed and for cd at every SNR, then the evaluation.
+        assert starts == [0, 512] + [0, 512, 1024]
 
     def test_q_grid_draws_each_point(self, monkeypatch):
         starts = _counted_draws(monkeypatch)
@@ -368,9 +426,8 @@ class TestSharedGrid:
         pd_curves([DetectorKind.CD, DetectorKind.ED], None, ScenarioConfig(k=8, delta=4.0),
                   [0.0, 3.0, 6.0, 12.0], nominal_pfa=0.1, cal_trials=1100, trials=self.TRIALS,
                   seed=48, cal_seed=49, workers=2)
-        # ed's calibration, cd's calibration at each of the four SNRs, and one
-        # pool for the evaluation.
-        assert pool_sizes == [2] * 6
+        # One pool calibrates ed and cd at each of the four SNRs, one evaluates.
+        assert pool_sizes == [2, 2]
 
     def test_non_finite_error_at_a_later_point_names_the_trial(self, monkeypatch):
         scens = [ScenarioConfig(k=8, delta=d) for d in (0.0, 5.0, 20.0)]
@@ -387,6 +444,25 @@ class TestSharedGrid:
         message = r"^ed statistic is not finite at burst 5 \(trial 517\)$"
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
             pfa_sweep([DetectorKind.ED], None, {DetectorKind.ED: 20.0}, scens, self.TRIALS, seed=50)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_norm_sample_at_a_later_point_names_the_trial(self, monkeypatch, workers):
+        scens = [ScenarioConfig(k=8, delta=d) for d in (0.0, 5.0, 20.0)]
+        bursts = montecarlo._bursts
+        starts = _counted_draws(monkeypatch)
+
+        def poisoned(scen, hypothesis, u, g):
+            x, sigma2 = bursts(scen, hypothesis, u, g)
+            if starts[-1] == 512 and scen == scens[1]:  # a pool worker gets a copy
+                x[5, 2] = 0.0
+            return x, sigma2
+
+        monkeypatch.setattr(montecarlo, "_bursts", poisoned)
+        message = r"^cannot normalize a zero-norm sample at burst 5, pulse 2 \(trial 517\)$"
+        kinds = [DetectorKind.ED, DetectorKind.C_AGD]
+        thresholds = {kind: 20.0 for kind in kinds}
+        with pytest.raises(ValueError, match=message):
+            pfa_sweep(kinds, EST, thresholds, scens, self.TRIALS, seed=50, workers=workers)
 
 
 class TestPfaEstimation:
