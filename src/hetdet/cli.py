@@ -26,16 +26,17 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .detectors import DetectorKind
+from .detectors import DetectorKind, NonFiniteStatistic
 from .estimation import EstimationConfig
 from .montecarlo import (
     MAX_TRIALS,
     AlgorithmTag,
     _calibration_floor,
     _check_calibration_size,
+    _exceeding,
     calibrate_thresholds,
     convergence_trace,
-    exceedance_curves,
+    curve_point,
     pd_curves,
     pfa_sweep,
     statistics_for_bursts,
@@ -43,11 +44,15 @@ from .montecarlo import (
     write_manifest,
     write_trace_csv,
 )
-from .scenario import ScenarioConfig, _check_offset, ingest_recorded, pulse_powers, sliding_bursts
+from .scenario import ScenarioConfig, _check_offset, _window_count, ingest_recorded, pulse_powers, sliding_bursts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# Windows a recorded sweep scores per statistics call: large enough to spread
+# the per-call cost, and fixed, so a bin's memory does not grow with its pulses.
+_WINDOW_BLOCK = 1024
 
 
 class ConfigError(Exception):
@@ -464,6 +469,28 @@ def _check_bins(config: RunConfig, series, bins):
                 )
 
 
+def _bin_counts(config: RunConfig, series, bin_label, thresholds: dict) -> dict:
+    """{kind: windows of one bin whose statistic strictly exceeds its eta}.
+
+    The windows are cut and scored `_WINDOW_BLOCK` at a time and only the
+    counts are kept, so nothing held grows with the bin's pulse count.
+    """
+    k, stride = config.scenario.k, config.stride
+    n_windows = _window_count(series.n_pulses, k, stride)
+    counts = dict.fromkeys(config.detectors, 0)
+    for start in range(0, n_windows, _WINDOW_BLOCK):
+        count = min(_WINDOW_BLOCK, n_windows - start)
+        windows = sliding_bursts(series, bin_label, k, stride, start, count)
+        try:
+            stats = statistics_for_bursts(windows, config.detectors, config.estimation)
+        except NonFiniteStatistic as exc:
+            # The burst index is relative to the block; name the bin's window too.
+            raise ValueError(f"{exc} (bin {bin_label}, window {start + exc.burst})") from None
+        for kind in counts:
+            counts[kind] += _exceeding(stats[kind], thresholds[kind], 0)
+    return counts
+
+
 def _run_calibrate(config: RunConfig) -> dict:
     _progress(
         f"calibrating {len(config.detectors)} detector(s): "
@@ -493,17 +520,13 @@ def _run_cfar_sweep(config: RunConfig) -> dict:
         bins = config.bins if config.bins is not None else tuple(series.bin_labels.tolist())
         _check_bins(config, series, bins)
         thresholds = calibrate()
-        results = {"bins": [int(b) for b in bins], "windows_per_bin": {}}
-
-        def bin_statistics():
-            for bin_label in bins:
-                windows = sliding_bursts(series, bin_label, config.scenario.k, config.stride)
-                results["windows_per_bin"][int(bin_label)] = len(windows)
-                _progress(f"bin {bin_label}: {len(windows)} sliding bursts")
-                stats = statistics_for_bursts(windows, config.detectors, config.estimation)
-                yield float(bin_label), stats
-
-        curves = exceedance_curves(config.detectors, thresholds, bin_statistics())
+        n_windows = _window_count(series.n_pulses, config.scenario.k, config.stride)
+        results = {"bins": [int(b) for b in bins], "windows_per_bin": {int(b): n_windows for b in bins}}
+        curves = {kind: [] for kind in config.detectors}
+        for bin_label in bins:
+            _progress(f"bin {bin_label}: {n_windows} sliding bursts")
+            for kind, count in _bin_counts(config, series, bin_label, thresholds).items():
+                curves[kind].append(curve_point(float(bin_label), count, n_windows))
     else:
         thresholds = calibrate()
         scens = [_grid_scenario(config.scenario, config.grid_kind, value) for value in config.grid]
@@ -551,13 +574,15 @@ def _run_power_trace(config: RunConfig) -> dict:
     )
     single = config.bin_label is not None
     bins = [config.bin_label] if single else [int(b) for b in series.bin_labels]
-    lines = ["pulse_index,power" if single else "bin_index,pulse_index,power"]
-    for bin_label in bins:
-        prefix = "" if single else f"{bin_label},"
-        for pulse, value in enumerate(pulse_powers(series, bin_label)):
-            lines.append(f"{prefix}{pulse},{float(value)!r}")
+    if single:
+        series.row(config.bin_label)  # an unknown bin fails before the artifact is opened
     with open(config.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("pulse_index,power\n" if single else "bin_index,pulse_index,power\n")
+        # Each bin's lines are written as they are formatted, one bin at a time.
+        for bin_label in bins:
+            prefix = "" if single else f"{bin_label},"
+            powers = pulse_powers(series, bin_label).tolist()
+            fh.write("".join(f"{prefix}{pulse},{value!r}\n" for pulse, value in enumerate(powers)))
     return {"bins": bins, "n_pulses": series.n_pulses}
 
 

@@ -66,7 +66,6 @@ __all__ = [
     "calibrate_thresholds",
     "convergence_trace",
     "curve_point",
-    "exceedance_curves",
     "pd_curves",
     "pfa_sweep",
     "sample_statistics",
@@ -308,24 +307,11 @@ def _h0_abscissa(scen: ScenarioConfig) -> float:
     return float(scen.delta if scen.delta is not None else scen.texture_shape)
 
 
-def exceedance_curves(kinds, thresholds: dict, samples) -> dict:
-    """Exceedance-rate curves from (abscissa, {kind: statistics}) samples.
-
-    `samples` may be a generator, so only one point's statistics need be
-    held at a time.  A threshold is one eta, or a sequence holding one per
-    point.  A statistic counts when it strictly exceeds its threshold, so a
-    tie is no detection.  Returns {kind: [CurvePoint, ...]}.
-    """
-    curves = {kind: [] for kind in kinds}
-    for i, (abscissa, stats) in enumerate(samples):
-        for kind in kinds:
-            exceed = _exceeding(stats[kind], thresholds[kind], i)
-            curves[kind].append(curve_point(abscissa, exceed, stats[kind].size))
-    return curves
-
-
 def _exceeding(stats: np.ndarray, threshold, i: int) -> int:
-    """How many statistics strictly exceed the threshold at point i (one eta, or one per point)."""
+    """How many statistics strictly exceed the threshold at point i (one eta, or one per point).
+
+    A tie is no detection.
+    """
     eta = threshold if np.ndim(threshold) == 0 else threshold[i]
     return int(np.count_nonzero(stats > eta))
 

@@ -328,6 +328,20 @@ def _check_offset(offset: float, offset_mode: str, seed: int | None):
         raise ValueError("a nonzero noise offset needs a seed")
 
 
+def _in_order_pulses(b: np.ndarray, p: np.ndarray) -> int:
+    """T if rows b, p list bins in ascending order, each with pulses 0..T-1 in order; else 0."""
+    n_pulses = int(np.argmax(b != b[0])) or b.size
+    if b.size % n_pulses:
+        return 0
+    grid_b, grid_p = b.reshape(-1, n_pulses), p.reshape(-1, n_pulses)
+    in_order = (
+        np.all(grid_p == np.arange(n_pulses))
+        and np.all(grid_b == grid_b[:, :1])
+        and np.all(grid_b[1:, 0] > grid_b[:-1, 0])
+    )
+    return n_pulses if in_order else 0
+
+
 def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", seed: int | None = None) -> RecordedSeries:
     """Read a recorded series from delimiter-separated text.
 
@@ -365,24 +379,31 @@ def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", see
         n, line = _numbered_rows(path)[int(np.argmin(finite))]
         raise ValueError(f"{path}:{n}: re and im must be finite, got {line.strip()!r}")
     b, p = table["bin"], table["pulse"]
-    bins, bin_pos = np.unique(b, return_inverse=True)
-    pulses = np.unique(p)
-    n_pulses = pulses.size
-    if pulses[0] != 0 or pulses[-1] != n_pulses - 1:
-        raise ValueError(f"{path}: pulse indices must cover 0..{n_pulses - 1} exactly")
-    key = bin_pos * n_pulses + p
-    first_seen = np.unique(key, return_index=True)[1]
-    if first_seen.size < key.size:
-        repeat = np.ones(key.size, dtype=bool)
-        repeat[first_seen] = False
-        i = int(np.argmax(repeat))
-        raise ValueError(f"{path}:{_numbered_rows(path)[i][0]}: duplicate cell ({b[i]}, {p[i]})")
-    if key.size < bins.size * n_pulses:
-        filled = np.zeros(bins.size * n_pulses, dtype=bool)
-        filled[key] = True
-        j = int(np.argmin(filled))
-        raise ValueError(f"{path}: bin {bins[j // n_pulses]} is missing pulse {j % n_pulses}")
-    cells = np.empty(key.size, dtype=complex)
+    n_pulses = _in_order_pulses(b, p)
+    if n_pulses:
+        # Rows already in (bin, pulse) order, as the package's writers emit
+        # them, are the grid itself: no sort places them.
+        bins, key = b[::n_pulses].copy(), slice(None)
+    else:
+        bins, bin_pos = np.unique(b, return_inverse=True)
+        pulses = np.unique(p)
+        n_pulses = pulses.size
+        if pulses[0] != 0 or pulses[-1] != n_pulses - 1:
+            raise ValueError(f"{path}: pulse indices must cover 0..{n_pulses - 1} exactly")
+        key = bin_pos * n_pulses + p
+        first_seen = np.unique(key, return_index=True)[1]
+        if first_seen.size < key.size:
+            repeat = np.ones(key.size, dtype=bool)
+            repeat[first_seen] = False
+            i = int(np.argmax(repeat))
+            raise ValueError(f"{path}:{_numbered_rows(path)[i][0]}: duplicate cell ({b[i]}, {p[i]})")
+        if key.size < bins.size * n_pulses:
+            filled = np.zeros(bins.size * n_pulses, dtype=bool)
+            filled[key] = True
+            j = int(np.argmin(filled))
+            raise ValueError(f"{path}: bin {bins[j // n_pulses]} is missing pulse {j % n_pulses}")
+        del bin_pos, first_seen
+    cells = np.empty(b.size, dtype=complex)
     cells.real[key] = table["re"]
     cells.imag[key] = table["im"]
     cells = cells.reshape(bins.size, n_pulses)
@@ -402,14 +423,25 @@ def ingest_recorded(path, offset: float = 0.0, offset_mode: str = "literal", see
                 f"{path}:{_numbered_rows(path)[i][0]}: cell ({b[i]}, {p[i]}) overflows with the "
                 f"{offset_mode} offset {offset!r}"
             )
+    del table, b, p, key, finite  # the row table goes before RecordedSeries copies the grid
     return RecordedSeries(cells=cells, bin_labels=bins)
 
 
-def sliding_bursts(series: RecordedSeries, bin_label: int, k: int, stride: int) -> np.ndarray:
-    """Overlapping K-pulse bursts along one range bin, stacked as (W, k, 2).
+def _window_count(n_pulses: int, k: int, stride: int) -> int:
+    """How many K-pulse windows at `stride` fit in n_pulses >= k pulses."""
+    return (n_pulses - k) // stride + 1
 
-    Produces W = floor((T - k)/stride) + 1 bursts for T recorded pulses;
-    window i holds pulses i*stride .. i*stride + k - 1.
+
+def sliding_bursts(
+    series: RecordedSeries, bin_label: int, k: int, stride: int, start: int = 0, count: int | None = None
+) -> np.ndarray:
+    """Overlapping K-pulse bursts along one range bin, stacked as (count, k, 2).
+
+    A bin of T recorded pulses holds W = floor((T - k)/stride) + 1 windows;
+    window i holds pulses i*stride .. i*stride + k - 1.  Returns windows
+    start .. start + count - 1 (by default every window from `start` on) as
+    one new C-contiguous float array, so a caller can score a long bin in
+    blocks without holding all W windows at once.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -418,7 +450,17 @@ def sliding_bursts(series: RecordedSeries, bin_label: int, k: int, stride: int) 
     row = series.row(bin_label)
     if k > row.size:
         raise ValueError(f"burst length {k} exceeds the {row.size} recorded pulses")
-    windows = sliding_window_view(row, k)[::stride]
+    n_windows = _window_count(row.size, k, stride)
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    if count is None:
+        count = n_windows - start
+    elif count < 1:
+        raise ValueError("count must be >= 1")
+    if start + count > n_windows or count < 1:
+        raise ValueError(f"windows from {start} run past the last of the bin's {n_windows} windows")
+    first = start * stride
+    windows = sliding_window_view(row[first : first + (count - 1) * stride + k], k)[::stride]
     return np.stack([windows.real, windows.imag], axis=-1)
 
 

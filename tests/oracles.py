@@ -119,3 +119,23 @@ def energy_detector_sf(threshold, norm_m_sq, k, delta, sigma_n2=1.0):
         0.0, upper, limit=2000, epsabs=1e-13, epsrel=1e-12,
     )
     return 0.5 + val / np.pi
+
+
+def coherent_detector_sf(threshold, k, sigma_n2=1.0):
+    """P(|sum of K pulses|^2 > threshold) under white noise of per-axis variance sigma_n2.
+
+    Each axis of the pulse sum is normal with variance K*sigma_n2, so the
+    power over K*sigma_n2 is chi-square with two degrees of freedom, whose
+    tail is exp(-t/2).
+    """
+    return float(np.exp(-threshold / (2.0 * k * sigma_n2)))
+
+
+def cell_averaged_sf(threshold, k):
+    """P(|sum of K pulses|^2 / sum of |pulse|^2 > threshold) under white noise of any power.
+
+    The ratio is K times the squared norm of the projection of a 2K-dim
+    white Gaussian vector's direction onto the 2-dim span of the pulse sum,
+    and that squared norm is Beta(1, K - 1), whose tail is (1 - u)^(K - 1).
+    """
+    return float(np.clip(1.0 - threshold / k, 0.0, 1.0) ** (k - 1))

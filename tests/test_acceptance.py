@@ -51,6 +51,8 @@ K = 16
 PFA = 1e-2
 TRIALS = 10_000
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "recorded_clutter.csv")
+# Both CPUs of a 2-CPU host; results are bit-identical for any worker count.
+WORKERS = min(2, os.cpu_count() or 1)
 
 WHITE = ScenarioConfig(k=K, delta=0.0)
 CFG = EstimationConfig()
@@ -79,7 +81,7 @@ def _crossing(pairs, level=0.9):
 def white_thresholds():
     """Thresholds for the adaptive detectors under white noise, shared below."""
     kinds = (D.AGD, D.GD_HE, D.C_AGD)
-    return calibrate_thresholds(kinds, CFG, WHITE, PFA, TRIALS, seed=101)
+    return calibrate_thresholds(kinds, CFG, WHITE, PFA, TRIALS, seed=101, workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +89,7 @@ def delta_sweep(white_thresholds):
     """False-alarm estimates across heterogeneity levels, one shared run."""
     kinds = (D.AGD, D.GD_HE, D.C_AGD)
     scens = [replace(WHITE, delta=d) for d in (0.0, 10.0, 20.0, 50.0)]
-    return pfa_sweep(kinds, CFG, white_thresholds, scens, TRIALS, seed=202)
+    return pfa_sweep(kinds, CFG, white_thresholds, scens, TRIALS, seed=202, workers=WORKERS)
 
 
 def test_01_exact_numerics_match_quadrature():
@@ -142,7 +144,7 @@ def test_03_false_alarm_stability_over_heterogeneity(delta_sweep):
 
 def test_04_false_alarm_stability_over_texture(white_thresholds):
     scens = [replace(WHITE, delta=None, texture_shape=q) for q in (0.5, 1.0, 5.0, 50.0)]
-    sweep = pfa_sweep((D.AGD,), CFG, white_thresholds, scens, TRIALS, seed=202)
+    sweep = pfa_sweep((D.AGD,), CFG, white_thresholds, scens, TRIALS, seed=202, workers=WORKERS)
     estimates = {p.abscissa: p.estimate for p in sweep[D.AGD]}
     ok = all(0.007 <= v <= 0.013 for v in estimates.values())
     detail = ", ".join(f"q {a:g}: {v:.4f}" for a, v in estimates.items())
@@ -164,7 +166,7 @@ def test_06_detection_hierarchy_moderate_heterogeneity():
     kinds = [D.GD_HE, D.AGD, D.C_AGD, D.ED, D.CD]
     grid = [float(s) for s in range(4, 16)]
     curves, thresholds = pd_curves(kinds, CFG, scen, grid, PFA, TRIALS, TRIALS,
-                                   seed=302, cal_seed=301)
+                                   seed=302, cal_seed=301, workers=WORKERS)
     s90 = {k: _snr_at(curves[k]) for k in (D.GD_HE, D.AGD, D.C_AGD, D.ED)}
     gain_gd = s90[D.AGD] - s90[D.GD_HE]
     gain_ca = s90[D.AGD] - s90[D.C_AGD]
@@ -221,7 +223,7 @@ def test_07_crossover_at_high_heterogeneity():
     scen = replace(WHITE, delta=50.0)
     grid = [14.0, 16.0, 18.0, 20.0, 22.0, 23.0]
     curves, _ = pd_curves([D.GD_HE, D.AGD], CFG, scen, grid, PFA, TRIALS, TRIALS,
-                          seed=402, cal_seed=401)
+                          seed=402, cal_seed=401, workers=WORKERS)
     diffs = [curves[D.GD_HE][i].estimate - curves[D.AGD][i].estimate
              for i in range(len(grid))]
     ok = max(diffs) > 0.0 and min(diffs) < 0.0
@@ -233,7 +235,7 @@ def test_07_crossover_at_high_heterogeneity():
 def test_08_homogeneous_coherent_detectors():
     grid = [g / 2.0 for g in range(-4, 7)]
     curves, _ = pd_curves([D.CHD, D.CA_CHD], None, WHITE, grid, PFA, TRIALS, TRIALS,
-                          seed=502, cal_seed=501)
+                          seed=502, cal_seed=501, workers=WORKERS)
     gap = _snr_at(curves[D.CA_CHD]) - _snr_at(curves[D.CHD])
     ok = 0.1 <= gap <= 0.9
     _report(8, "coherent detector beats its cell-averaged form", ok,

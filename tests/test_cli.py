@@ -9,16 +9,18 @@ import argparse
 import hashlib
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from hetdet import estimation, montecarlo
+from hetdet import cli, estimation, montecarlo
 from hetdet.cli import ConfigError, _build_parser, main, parse_config
-from hetdet.detectors import DetectorKind
+from hetdet.detectors import DetectorKind, NonFiniteStatistic
+from hetdet.estimation import EstimationConfig
 from hetdet.montecarlo import calibrate_thresholds
-from hetdet.scenario import ScenarioConfig, ingest_recorded, pulse_powers
+from hetdet.scenario import RecordedSeries, ScenarioConfig, ingest_recorded, pulse_powers
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "recorded_clutter.csv")
 DEFAULT_DETECTORS = ["gd-he", "agd", "c-gd-he", "c-agd", "cd", "ed", "chd", "ca-chd"]
@@ -762,6 +764,13 @@ class TestPowerTraceCommand:
         assert len(rows) == 1 + 3 * 128
         assert {row.split(",")[0] for row in rows[1:]} == {"0", "1", "2"}
 
+    def test_unknown_bin_writes_no_artifact(self, tmp_path, capsys):
+        out = tmp_path / "power.csv"
+        code = main(["power-trace", "--recorded", FIXTURE, "--bin", "9", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: unknown range bin 9\n"
+        assert not out.exists()
+
     def test_noise_offset_is_reproducible(self, tmp_path, capsys):
         args = ["power-trace", "--recorded", FIXTURE, "--bin", "0", "--offset", "0.5",
                 "--offset-mode", "noise", "--offset-seed", "9"]
@@ -942,8 +951,8 @@ PINNED_MANIFESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MANIFEST_KEYS))
-def test_pinned_manifest_bytes(tmp_path, capsys, name):
+def _manifest_digest(tmp_path, capsys, name):
+    """The pinned-form sha256 of the manifest that MANIFEST_KEYS run `name` writes."""
     args, _ = MANIFEST_KEYS[name]
     out = str(tmp_path / ("thr.json" if args[0] == "calibrate" else "artifact.csv"))
     assert main([*args, "--out", out]) == 0
@@ -952,4 +961,79 @@ def test_pinned_manifest_bytes(tmp_path, capsys, name):
     if "recorded" in manifest:
         manifest["recorded"] = os.path.basename(manifest["recorded"])
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MANIFESTS[name]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST_KEYS))
+def test_pinned_manifest_bytes(tmp_path, capsys, name):
+    assert _manifest_digest(tmp_path, capsys, name) == PINNED_MANIFESTS[name]
+
+
+class TestRecordedBlocks:
+    """A recorded sweep scores each bin `cli._WINDOW_BLOCK` windows at a time."""
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_partition_keeps_the_pinned_bytes(self, tmp_path, capsys, monkeypatch, block):
+        monkeypatch.setattr(cli, "_WINDOW_BLOCK", block)
+        cut = cli.sliding_bursts
+        ranges = []
+
+        def recorded_cut(series, bin_label, k, stride, start, count):
+            ranges.append((bin_label, start, count))
+            return cut(series, bin_label, k, stride, start, count)
+
+        monkeypatch.setattr(cli, "sliding_bursts", recorded_cut)
+        for name in ("cfar-sweep-recorded", "cfar-sweep-recorded-default-detectors"):
+            args, digest = PINNED_ARTIFACTS[name]
+            out = str(tmp_path / f"{name}.csv")
+            assert main([*args, "--out", out]) == 0
+            capsys.readouterr()
+            assert hashlib.sha256(_read_bytes(out)).hexdigest() == digest
+            # Each of the 3 bins' 31 windows (k 8, stride 4) is scored once, in order.
+            assert ranges == [(b, s, min(block, 31 - s)) for b in (0, 1, 2) for s in range(0, 31, block)]
+            ranges.clear()
+        digest = _manifest_digest(tmp_path, capsys, "cfar-sweep-recorded")
+        assert digest == PINNED_MANIFESTS["cfar-sweep-recorded"]
+
+    def test_scoring_memory_does_not_grow_with_the_bin(self):
+        # numpy reports its buffers to tracemalloc, so the peaks repeat.
+        # Scoring the whole bin as one batch held memory in proportion to it.
+        config = cli.RunConfig(
+            "cfar-sweep", "unused.csv", scenario=ScenarioConfig(k=16, delta=0.0),
+            estimation=EstimationConfig(), stride=1,
+            detectors=(DetectorKind.GD_HE, DetectorKind.C_AGD, DetectorKind.ED, DetectorKind.CA_CHD),
+        )
+        thresholds = dict.fromkeys(config.detectors, 1.0)
+        peaks = []
+        for n_pulses in (4096, 32768):
+            rng = np.random.default_rng(n_pulses)
+            cells = rng.standard_normal((1, n_pulses)) + 1j * rng.standard_normal((1, n_pulses))
+            series = RecordedSeries(cells, [0])
+            tracemalloc.start()
+            try:
+                cli._bin_counts(config, series, 0, thresholds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_non_finite_statistic_names_its_bin_and_window(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_WINDOW_BLOCK", 3)
+        scored = cli.statistics_for_bursts
+        calls = []
+
+        def second_block_fails(windows, kinds, cfg):
+            calls.append(len(windows))
+            if len(calls) == 2:
+                raise NonFiniteStatistic(DetectorKind.ED, 1)
+            return scored(windows, kinds, cfg)
+
+        monkeypatch.setattr(cli, "statistics_for_bursts", second_block_fails)
+        code = main(["cfar-sweep", "--detectors", "ed", "--recorded", FIXTURE, "--bins", "2",
+                     "--pfa", "0.1", "--cal-trials", "1000", "--workers", "1",
+                     "--out", str(tmp_path / "rec.csv")])
+        assert code == 3
+        assert calls == [3, 3]
+        assert capsys.readouterr().err.endswith(
+            "\nerror: ed statistic is not finite at burst 1 (bin 2, window 4)\n"
+        )

@@ -17,10 +17,10 @@ from hetdet.montecarlo import (
     AlgorithmTag,
     CurvePoint,
     _UpperTail,
+    _exceeding,
     calibrate_thresholds,
     convergence_trace,
     curve_point,
-    exceedance_curves,
     pd_curves,
     pfa_sweep,
     sample_statistics,
@@ -32,6 +32,7 @@ from hetdet.montecarlo import (
 )
 from hetdet import montecarlo
 from hetdet.scenario import Hypothesis, ScenarioConfig, gen_block
+from oracles import cell_averaged_sf, coherent_detector_sf, energy_detector_sf
 
 WHITE = ScenarioConfig(k=16, delta=0.0)
 EST = EstimationConfig()
@@ -118,14 +119,13 @@ class TestCurvePoint:
 
 class TestExceedanceCurves:
     def test_strict_threshold(self):
-        stats = {DetectorKind.ED: np.array([1.5, 1.0, 0.5])}
-        curves = exceedance_curves([DetectorKind.ED], {DetectorKind.ED: 1.0}, [(0.0, stats)])
+        # Every curve, synthetic or recorded, counts with `_exceeding`.
+        stats = np.array([1.5, 1.0, 0.5])
         # Only 1.5 exceeds 1.0: a tie is no detection.
-        assert curves[DetectorKind.ED][0].estimate == 1 / 3
+        assert _exceeding(stats, 1.0, 0) == 1
         # One threshold per point may come in any sequence, here an array.
-        per_point = {DetectorKind.ED: np.array([1.0, 0.5])}
-        curves = exceedance_curves([DetectorKind.ED], per_point, [(0.0, stats), (1.0, stats)])
-        assert [pt.estimate for pt in curves[DetectorKind.ED]] == [1 / 3, 2 / 3]
+        per_point = np.array([1.0, 0.5])
+        assert [_exceeding(stats, per_point, i) for i in (0, 1)] == [1, 2]
 
 
 class TestThresholdRank:
@@ -263,6 +263,78 @@ def _counted_draws(monkeypatch) -> list:
 
     monkeypatch.setattr(montecarlo, "_draw_block", counted)
     return starts
+
+
+# The exact null tails of the three statistics that need no estimate, at K = 16
+# and sigma_n2 = 1 under white noise (delta 0) or uniform heterogeneity.
+_NULL_SF = {
+    DetectorKind.ED: lambda eta, delta: energy_detector_sf(eta, 0.0, WHITE.k, delta),
+    DetectorKind.CHD: lambda eta, delta: coherent_detector_sf(eta, WHITE.k),
+    DetectorKind.CA_CHD: lambda eta, delta: cell_averaged_sf(eta, WHITE.k),
+}
+# The chance that a correct program fails a test below, split over its checks.
+_ORACLE_ALPHA = 1e-3
+
+
+def _rank_band(nominal_pfa, trials, checks):
+    """Bonferroni band of sf(eta) at the rank-r eta of `trials` draws, r = ceil((1 - pfa) * trials).
+
+    For any continuous law the r-th smallest of n draws has F(eta) ~ Beta(r,
+    n - r + 1), so sf(eta) ~ Beta(n - r + 1, r) exactly.
+    """
+    rank = int(np.ceil((1.0 - nominal_pfa) * trials))
+    law = sps.beta(trials - rank + 1, rank)
+    tail = _ORACLE_ALPHA / (2 * checks)
+    return law.ppf(tail), law.isf(tail)
+
+
+class TestExactNullOracles:
+    def test_closed_forms_match_direct_draws(self):
+        """The chd and ca-chd tails, checked on white bursts drawn here, not by the package."""
+        x = np.random.default_rng(71).standard_normal((100_000, WHITE.k, 2))
+        coherent = np.sum(np.sum(x, axis=1) ** 2, axis=-1)
+        energy = np.sum(x * x, axis=(1, 2))
+        levels = (0.5, 0.1, 0.01)
+        bound = sps.norm.isf(_ORACLE_ALPHA / (2 * 2 * len(levels)))
+        for values, sf in ((coherent, _NULL_SF[DetectorKind.CHD]),
+                           (coherent / energy, _NULL_SF[DetectorKind.CA_CHD])):
+            for level in levels:
+                t = np.quantile(values, 1.0 - level)
+                # The empirical tail at t is level; the oracle must agree within sampling error.
+                sigma = np.sqrt(level * (1.0 - level) / values.size)
+                assert abs(sf(t, 0.0) - level) <= bound * sigma
+
+    def test_calibrated_etas_sit_at_their_exact_rank_law(self):
+        """sf(eta) ~ Beta(n - r + 1, r) for ed, chd and ca-chd, at workers 1 and 2."""
+        kinds = list(_NULL_SF)
+        runs = [(0.1, 2000, 11), (0.01, 20_000, 12), (0.001, 100_000, 13)]
+        checks = len(runs) * len(kinds) * 2
+        for nominal_pfa, trials, seed in runs:
+            low, high = _rank_band(nominal_pfa, trials, checks)
+            etas = [calibrate_thresholds(kinds, None, WHITE, nominal_pfa, trials, seed, workers)
+                    for workers in (1, 2)]
+            assert etas[0] == etas[1]
+            for eta in etas:
+                for kind in kinds:
+                    u = _NULL_SF[kind](eta[kind], 0.0)
+                    assert low <= u <= high, (kind, nominal_pfa, u / nominal_pfa)
+
+    def test_energy_pfa_under_heterogeneity_matches_its_oracle(self):
+        """ed calibrated and swept at delta 10, 20 and 50 against the exact heterogeneous law."""
+        deltas = (10.0, 20.0, 50.0)
+        nominal_pfa, cal_trials, trials = 0.1, 2000, 10_000
+        checks = 2 * len(deltas)
+        low, high = _rank_band(nominal_pfa, cal_trials, checks)
+        for delta in deltas:
+            scen = replace(WHITE, delta=delta)
+            eta = calibrate_thresholds([DetectorKind.ED], None, scen, nominal_pfa, cal_trials, 21, 2)
+            q = _NULL_SF[DetectorKind.ED](eta[DetectorKind.ED], delta)
+            assert low <= q <= high, (delta, q / nominal_pfa)
+            point = pfa_sweep([DetectorKind.ED], None, eta, [scen], trials, 22, 2)[DetectorKind.ED][0]
+            count = round(point.estimate * trials)
+            # Exact two-sided binomial test of the swept Pfa against the oracle's.
+            p_value = min(1.0, 2 * min(sps.binom.cdf(count, trials, q), sps.binom.sf(count - 1, trials, q)))
+            assert p_value >= _ORACLE_ALPHA / checks, (delta, point.estimate, q)
 
 
 class TestSampleStatistics:

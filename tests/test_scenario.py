@@ -1,5 +1,7 @@
 """Tests for pulse directions, synthetic generators, and recorded-series I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,6 +327,50 @@ class TestRecordedSeries:
         want = np.array([[float(t), float(u)] for t, u in zip(texts, reversed(texts))])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize(
+        "order",
+        ["shuffled", "bins descending", "bins interleaved", "two pulses swapped", "one bin"],
+    )
+    def test_row_order_does_not_change_the_series(self, tmp_path, order):
+        in_order = tmp_path / "in_order.csv"
+        _write_series(in_order, [2, 5, 9], 12, seed=3)
+        header, *rows = in_order.read_text().splitlines()
+        if order == "shuffled":
+            rows = [rows[i] for i in np.random.default_rng(4).permutation(len(rows))]
+        elif order == "bins descending":
+            rows = rows[24:] + rows[12:24] + rows[:12]
+        elif order == "bins interleaved":
+            rows = [rows[b * 12 + p] for p in range(12) for b in range(3)]
+        elif order == "two pulses swapped":
+            rows[13], rows[14] = rows[14], rows[13]
+        else:
+            rows = rows[:12]
+        other = tmp_path / "other.csv"
+        other.write_text("\n".join([header, *rows]) + "\n")
+        want, got = ingest_recorded(in_order), ingest_recorded(other)
+        if order == "one bin":
+            want = RecordedSeries(want.cells[:1], want.bin_labels[:1])
+        assert got.cells.tobytes() == want.cells.tobytes()
+        np.testing.assert_array_equal(got.bin_labels, want.bin_labels)
+
+    def test_in_order_rows_ingest_in_bounded_memory(self, tmp_path):
+        # numpy reports its buffers to tracemalloc, so the peak repeats.  Rows
+        # in (bin, pulse) order are placed without a sort: the row table and
+        # one grid, about 3x the grid, where sorting them held about 5.7x.
+        path = tmp_path / "rec.csv"
+        values = np.random.default_rng(6).standard_normal((4, 4096, 2)).tolist()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("bin_index,pulse_index,re,im\n")
+            for b, row in enumerate(values):
+                fh.write("".join(f"{b},{p},{re!r},{im!r}\n" for p, (re, im) in enumerate(row)))
+        tracemalloc.start()
+        try:
+            series = ingest_recorded(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * series.cells.nbytes
+
     def test_literal_offset(self, tmp_path):
         path = tmp_path / "rec.csv"
         _write_series(path, [1], 8)
@@ -388,6 +434,39 @@ class TestSlidingBursts:
         for i, window in enumerate(windows):
             np.testing.assert_array_equal(window[:, 0], row[4 * i : 4 * i + 8].real)
             np.testing.assert_array_equal(window[:, 1], row[4 * i : 4 * i + 8].imag)
+
+    @settings(max_examples=60)
+    @given(
+        n_pulses=st.integers(2, 80), k=st.integers(2, 80), stride=st.integers(1, 9),
+        start=st.integers(0, 80), count=st.integers(1, 80), last_block=st.booleans(),
+    )
+    def test_window_range_is_a_slice_of_the_stack(self, n_pulses, k, stride, start, count, last_block):
+        rng = np.random.default_rng(n_pulses)
+        row = rng.standard_normal(n_pulses) + 1j * rng.standard_normal(n_pulses)
+        series = RecordedSeries(row[None, :], [0])
+        k = min(k, n_pulses)
+        stack = sliding_bursts(series, 0, k, stride)
+        start = start % len(stack)
+        # The last, partial block of a partition: every window from `start` on.
+        count = len(stack) - start if last_block else min(count, len(stack) - start)
+        part = sliding_bursts(series, 0, k, stride, start, count)
+        assert part.flags.c_contiguous and part.shape == (count, k, 2)
+        assert part.tobytes() == stack[start : start + count].tobytes()
+        assert sliding_bursts(series, 0, k, stride, start).tobytes() == stack[start:].tobytes()
+
+    def test_window_range_validation(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        _write_series(path, [0], 20)
+        series = ingest_recorded(path)  # 5 windows at k=8, stride 3
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            sliding_bursts(series, 0, 8, 3, start=-1)
+        for count in (0, -2):
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                sliding_bursts(series, 0, 8, 3, start=0, count=count)
+        for start, count in ((0, 6), (4, 2), (5, 1), (5, None), (9, None)):
+            with pytest.raises(ValueError, match="past the last of the bin's 5 windows"):
+                sliding_bursts(series, 0, 8, 3, start=start, count=count)
+        assert len(sliding_bursts(series, 0, 8, 3, start=4, count=1)) == 1
 
     def test_parameter_validation(self, tmp_path):
         path = tmp_path / "rec.csv"
