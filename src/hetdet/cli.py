@@ -26,11 +26,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .detectors import DetectorKind, NonFiniteStatistic
+from .detectors import DetectorKind
 from .estimation import EstimationConfig
 from .montecarlo import (
     MAX_TRIALS,
     AlgorithmTag,
+    _Block,
+    _block_results,
     _calibration_floor,
     _check_calibration_size,
     _exceeding,
@@ -244,6 +246,13 @@ def _parse_detectors(raw, recorded: bool) -> tuple:
     return kinds
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_out_path(out: str):
     if os.path.isdir(out):
         raise ConfigError(f"output path is a directory: {out}")
@@ -386,7 +395,7 @@ def _resolve(command: str, given: dict) -> RunConfig:
     detectors = _parse_detectors(given.pop("detectors", None), recorded is not None)
     settings.update(
         detectors=detectors, pfa=pfa,
-        workers=_number(given, "workers", os.cpu_count() or 1, int, minimum=1),
+        workers=_number(given, "workers", _available_cpus(), int, minimum=1),
     )
     if command == "calibrate":
         trials = _calibration_size(given, "trials", pfa, 10000)
@@ -469,26 +478,33 @@ def _check_bins(config: RunConfig, series, bins):
                 )
 
 
-def _bin_counts(config: RunConfig, series, bin_label, thresholds: dict) -> dict:
-    """{kind: windows of one bin whose statistic strictly exceeds its eta}.
+def _window_block(context, block: _Block) -> dict:
+    """{kind: windows of the block whose statistic strictly exceeds its eta}."""
+    config, series, thresholds = context
+    windows = sliding_bursts(series, block.bin, config.scenario.k, config.stride, block.start, block.count)
+    stats = statistics_for_bursts(windows, config.detectors, config.estimation)
+    return {kind: _exceeding(stats[kind], thresholds[kind], 0) for kind in config.detectors}
 
-    The windows are cut and scored `_WINDOW_BLOCK` at a time and only the
-    counts are kept, so nothing held grows with the bin's pulse count.
+
+def _recorded_curves(config: RunConfig, series, bins, n_windows: int, thresholds: dict) -> dict:
+    """{kind: [CurvePoint per bin]}: the Pfa of each bin's `n_windows` sliding windows.
+
+    The windows are cut and scored `_WINDOW_BLOCK` at a time, through
+    `config.workers` processes, and only the counts are kept, so nothing held
+    grows with a bin's pulse count.
     """
-    k, stride = config.scenario.k, config.stride
-    n_windows = _window_count(series.n_pulses, k, stride)
-    counts = dict.fromkeys(config.detectors, 0)
-    for start in range(0, n_windows, _WINDOW_BLOCK):
-        count = min(_WINDOW_BLOCK, n_windows - start)
-        windows = sliding_bursts(series, bin_label, k, stride, start, count)
-        try:
-            stats = statistics_for_bursts(windows, config.detectors, config.estimation)
-        except NonFiniteStatistic as exc:
-            # The burst index is relative to the block; name the bin's window too.
-            raise ValueError(f"{exc} (bin {bin_label}, window {start + exc.burst})") from None
-        for kind in counts:
-            counts[kind] += _exceeding(stats[kind], thresholds[kind], 0)
-    return counts
+    starts = range(0, n_windows, _WINDOW_BLOCK)
+    blocks = [_Block(start, min(_WINDOW_BLOCK, n_windows - start), b) for b in bins for start in starts]
+    counts = {kind: dict.fromkeys(bins, 0) for kind in config.detectors}
+    _progress(f"scoring {len(bins)} bin(s): {n_windows} sliding bursts each")
+    results = _block_results(_window_block, (config, series, thresholds), blocks, config.workers)
+    for block, block_counts in zip(blocks, results):
+        for kind, count in block_counts.items():
+            counts[kind][block.bin] += count
+    return {
+        kind: [curve_point(float(b), n, n_windows) for b, n in by_bin.items()]
+        for kind, by_bin in counts.items()
+    }
 
 
 def _run_calibrate(config: RunConfig) -> dict:
@@ -522,11 +538,7 @@ def _run_cfar_sweep(config: RunConfig) -> dict:
         thresholds = calibrate()
         n_windows = _window_count(series.n_pulses, config.scenario.k, config.stride)
         results = {"bins": [int(b) for b in bins], "windows_per_bin": {int(b): n_windows for b in bins}}
-        curves = {kind: [] for kind in config.detectors}
-        for bin_label in bins:
-            _progress(f"bin {bin_label}: {n_windows} sliding bursts")
-            for kind, count in _bin_counts(config, series, bin_label, thresholds).items():
-                curves[kind].append(curve_point(float(bin_label), count, n_windows))
+        curves = _recorded_curves(config, series, bins, n_windows, thresholds)
     else:
         thresholds = calibrate()
         scens = [_grid_scenario(config.scenario, config.grid_kind, value) for value in config.grid]

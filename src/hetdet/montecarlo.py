@@ -1,9 +1,10 @@
 """Monte Carlo harness: threshold calibration, Pfa/Pd estimation, traces.
 
 Trials are simulated in fixed 512-trial blocks, each drawing its bursts from
-per-trial streams keyed by (seed, trial index).  Aggregation concatenates
-blocks in index order, so results are bit-identical for any worker count and
-any scheduling; the sequential path runs the very same block function.
+per-trial streams keyed by (seed, trial index).  `_block_results` runs every
+block, of trials or of a recorded bin's windows, in this process or through
+one pool, and yields the results in block order, so they are bit-identical
+for any worker count and any scheduling.
 
 A run over several (scenario, detectors) points simulates each trial once:
 one block function scores a trial range at every point, drawing once per
@@ -30,6 +31,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,55 +137,82 @@ def curve_point(abscissa: float, successes: int, trials: int) -> CurvePoint:
     return CurvePoint(float(abscissa), successes / trials, low, high, trials)
 
 
-def _sample_block(args):
-    """[{kind: statistics}] per (scenario, kinds) point for trials start..start+count-1."""
-    cfg, points, hypothesis, seed, start, count = args
+class _Block(NamedTuple):
+    """`count` bursts from `start`: trials, or the windows of recorded bin `bin`."""
+
+    start: int
+    count: int
+    bin: int | None = None
+
+    def at(self, burst: int = 0) -> str:
+        """Name burst `burst` of the block by its trial, or by its bin and window."""
+        unit = "trial" if self.bin is None else f"bin {self.bin}, window"
+        return f"{unit} {self.start + burst}"
+
+
+def _trial_blocks(trials: int) -> list:
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ValueError("trials must be at most MAX_TRIALS = 2**40")
+    return [_Block(start, min(BLOCK_SIZE, trials - start)) for start in range(0, trials, BLOCK_SIZE)]
+
+
+def _sample_block(context, block: _Block) -> list:
+    """[{kind: statistics}] per (scenario, kinds) point for the block's trials."""
+    cfg, points, hypothesis, seed = context
     draws = {}
     results = []
     for scen, kinds in points:
         law = _draw_law(scen)
         if law not in draws:
-            draws[law] = _draw_block(scen, seed, start, count)
+            draws[law] = _draw_block(scen, seed, block.start, block.count)
         x, sigma2 = _bursts(scen, hypothesis, *draws[law])
-        try:
-            stats = statistics_batch(x, kinds, cfg, true_mean=scen.target_mean, true_sigma2=sigma2)
-        except (NonFiniteStatistic, ZeroNormSample) as exc:
-            # The burst index is relative to the block; name the trial too.
-            raise ValueError(f"{exc} (trial {start + exc.burst})") from None
-        results.append(stats)
+        results.append(statistics_batch(x, kinds, cfg, true_mean=scen.target_mean, true_sigma2=sigma2))
     return results
 
 
-def _block_results(cfg, points, hypothesis, trials: int, seed: int, workers: int):
-    """Yield each block's `_sample_block` result over (scenario, kinds) points, in trial order.
+_task = None  # (fn, context) in a pool worker, set once by the pool's initializer
 
-    Every block goes through one pool.  If a pool worker dies, raises
-    ValueError naming the first trial of the first block whose result never
-    came.
+
+def _start_worker(*task):
+    global _task
+    _task = task
+
+
+def _run_block(block: _Block, task=None):
+    """fn(context, block) for the (fn, context) `task`, by default the pool worker's."""
+    fn, context = task or _task
+    try:
+        return fn(context, block)
+    except (NonFiniteStatistic, ZeroNormSample) as exc:
+        # The burst index is relative to the block.
+        raise ValueError(f"{exc} ({block.at(exc.burst)})") from None
+
+
+def _block_results(fn, context, blocks: list, workers: int):
+    """Yield fn(context, block) for each block, in block order.
+
+    One worker, or one block, runs in this process; otherwise one pool runs
+    every block.  If a pool worker dies, raises ValueError naming the first
+    block whose result never came.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if trials > MAX_TRIALS:
-        raise ValueError("trials must be at most MAX_TRIALS = 2**40")
     if workers < 1:
         raise ValueError("workers must be positive")
-    points = tuple((scen, tuple(kinds)) for scen, kinds in points)
-    starts = range(0, trials, BLOCK_SIZE)
-    blocks = [(cfg, points, hypothesis, seed, start, min(BLOCK_SIZE, trials - start)) for start in starts]
     if workers == 1 or len(blocks) == 1:
         for block in blocks:
-            yield _sample_block(block)
+            yield _run_block(block, (fn, context))
         return
-    # The pool forks all of its workers at the first submit, used or not.
+    # The pool starts all of its workers at the first submit, used or not.
     done = 0
-    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+    pool = ProcessPoolExecutor(min(workers, len(blocks)), initializer=_start_worker, initargs=(fn, context))
+    with pool:
         try:
-            for result in pool.map(_sample_block, blocks):
+            for result in pool.map(_run_block, blocks):
                 yield result
                 done += 1
         except BrokenProcessPool:
-            start = starts[done]
-            raise ValueError(f"a worker process died; the block at trial {start} never finished") from None
+            raise ValueError(f"a worker process died; the block at {blocks[done].at()} never finished") from None
 
 
 def sample_statistics(
@@ -203,7 +232,8 @@ def sample_statistics(
     whose result never came.
     """
     kinds = list(kinds)
-    blocks = list(_block_results(cfg, [(scen, kinds)], hypothesis, trials, seed, workers))
+    context = (cfg, [(scen, kinds)], hypothesis, seed)
+    blocks = list(_block_results(_sample_block, context, _trial_blocks(trials), workers))
     return {kind: np.concatenate([b[0][kind] for b in blocks]) for kind in kinds}
 
 
@@ -296,7 +326,8 @@ def _calibrate(cfg, points, nominal_pfa: float, trials: int, seed: int, workers:
     """
     _check_calibration_size(trials, nominal_pfa)
     tails = [{kind: _UpperTail(nominal_pfa, trials) for kind in kinds} for _, kinds in points]
-    for block in _block_results(cfg, points, Hypothesis.H0, trials, seed, workers):
+    context = (cfg, points, Hypothesis.H0, seed)
+    for block in _block_results(_sample_block, context, _trial_blocks(trials), workers):
         for point_tails, stats in zip(tails, block):
             for kind, tail in point_tails.items():
                 tail.add(stats[kind])
@@ -326,8 +357,8 @@ def _exceedance_curves(kinds, cfg, thresholds: dict, points, hypothesis, trials,
     arrives, so only the counts are kept.
     """
     counts = {kind: [0] * len(points) for kind in kinds}
-    scored = [(scen, kinds) for _, scen in points]
-    for block in _block_results(cfg, scored, hypothesis, trials, seed, workers):
+    context = (cfg, [(scen, kinds) for _, scen in points], hypothesis, seed)
+    for block in _block_results(_sample_block, context, _trial_blocks(trials), workers):
         for i, stats in enumerate(block):
             for kind in kinds:
                 counts[kind][i] += _exceeding(stats[kind], thresholds[kind], i)
@@ -410,6 +441,26 @@ def pd_curves(
     return curves, thresholds
 
 
+def _trace_block(context, block: _Block) -> np.ndarray:
+    """Per-iteration sums of |log-likelihood change| over the block's trials."""
+    algorithm, scen, seed, cfg = context
+    x, _ = gen_block(scen, Hypothesis.H1, seed, block.start, block.count)
+    if algorithm is AlgorithmTag.ALG1:
+        _, _, trace, _ = cyclic_ml_batch(x, ml_init(_sq_norm(x), cfg), cfg.c0, cfg.n_co1, 0.0)
+    else:
+        z = directions(x)[0]
+        m0, s20 = em_init(x, z, cfg)
+        if algorithm is AlgorithmTag.EM_M:
+            _, trace, _ = em_mean_batch(z, m0, s20, cfg.n_em_m, 0.0)
+        elif algorithm is AlgorithmTag.EM_SIGMA:
+            _, trace, _ = em_sigma_batch(z, m0, s20, cfg.c0, cfg.n_em_sigma, 0.0)
+        else:
+            _, _, trace, _ = cyclic_em_batch(
+                z, m0, s20, cfg.c0, cfg.n_co2, cfg.n_em_m, cfg.n_em_sigma, 0.0, 0.0, 0.0
+            )
+    return np.sum(np.abs(np.diff(trace, axis=1)), axis=0)
+
+
 def convergence_trace(
     algorithm: AlgorithmTag,
     scen: ScenarioConfig,
@@ -424,34 +475,14 @@ def convergence_trace(
     iteration cap; the trace is then well defined at every index.  The
     cyclic-ML trace starts at iteration 2 (the first iteration has no
     predecessor), the EM traces at iteration 1 against their initialization.
+    The blocks' sums are added in block order, so the trace's bits depend on
+    `BLOCK_SIZE`, not on anything else about the run.
     """
     if not isinstance(algorithm, AlgorithmTag):
         raise ValueError("algorithm must be an AlgorithmTag")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if trials > MAX_TRIALS:
-        raise ValueError("trials must be at most MAX_TRIALS = 2**40")
-    if cfg is None:
-        cfg = EstimationConfig()
+    context = (algorithm, scen, seed, cfg if cfg is not None else EstimationConfig())
     sums = None
-    for start in range(0, trials, BLOCK_SIZE):
-        count = min(BLOCK_SIZE, trials - start)
-        x, _ = gen_block(scen, Hypothesis.H1, seed, start, count)
-        if algorithm is AlgorithmTag.ALG1:
-            _, _, trace, _ = cyclic_ml_batch(x, ml_init(_sq_norm(x), cfg), cfg.c0, cfg.n_co1, 0.0)
-        else:
-            z = directions(x)[0]
-            m0, s20 = em_init(x, z, cfg)
-            if algorithm is AlgorithmTag.EM_M:
-                _, trace, _ = em_mean_batch(z, m0, s20, cfg.n_em_m, 0.0)
-            elif algorithm is AlgorithmTag.EM_SIGMA:
-                _, trace, _ = em_sigma_batch(z, m0, s20, cfg.c0, cfg.n_em_sigma, 0.0)
-            else:
-                _, _, trace, _ = cyclic_em_batch(
-                    z, m0, s20, cfg.c0, cfg.n_co2, cfg.n_em_m, cfg.n_em_sigma, 0.0, 0.0, 0.0
-                )
-        changes = np.abs(np.diff(trace, axis=1))
-        block_sum = np.sum(changes, axis=0)
+    for block_sum in _block_results(_trace_block, context, _trial_blocks(trials), 1):
         sums = block_sum if sums is None else sums + block_sum
     first = 2 if algorithm is AlgorithmTag.ALG1 else 1
     return [(first + j, float(s / trials)) for j, s in enumerate(sums)]

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ncx2, norm
 
+from hetdet.cli import _available_cpus
 from hetdet.cli import main as cli_main
 from hetdet.detectors import DetectorKind as D
 from hetdet.detectors import statistics_batch
@@ -51,8 +52,9 @@ K = 16
 PFA = 1e-2
 TRIALS = 10_000
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "recorded_clutter.csv")
-# Both CPUs of a 2-CPU host; results are bit-identical for any worker count.
-WORKERS = min(2, os.cpu_count() or 1)
+# Up to two of the CPUs this process may use, as the CLI's default counts them;
+# results are bit-identical for any worker count.
+WORKERS = min(2, _available_cpus())
 
 WHITE = ScenarioConfig(k=K, delta=0.0)
 CFG = EstimationConfig()

@@ -6,14 +6,19 @@ written CSV bytes, and the exit-code contract (0 ok, 2 config, 3 runtime).
 """
 
 import argparse
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hetdet import cli, estimation, montecarlo
 from hetdet.cli import ConfigError, _build_parser, main, parse_config
@@ -43,9 +48,20 @@ def _subparsers():
     return dict(subs.choices)
 
 
-def _dies_in_worker(args):
+def _dies_in_worker(context, block):
     """Stand-in block function that ends its pool worker process."""
     os._exit(1)
+
+
+_window_block = cli._window_block
+
+
+def _dies_in_second_window_block(context, block):
+    """Stand-in recorded block function: the worker given window 3 of a bin exits without a result."""
+    if block.start == 3:
+        time.sleep(1.0)  # the first block's result arrives before the pool breaks
+        os._exit(1)
+    return _window_block(context, block)
 
 
 def _zeroed_fixture(tmp_path):
@@ -76,6 +92,17 @@ class TestParseConfig:
         assert [k.value for k in recorded.detectors] == [t for t in DEFAULT_DETECTORS if t != "cd"]
         assert cfg.estimation.c0 == 1.0
         assert not cfg.estimation.paper_init
+
+    def test_default_workers_are_the_cpus_this_process_may_use(self, tmp_path, monkeypatch):
+        argv = ["pd-curve", "--snr-grid", "0", "--out", str(tmp_path / "c.csv")]
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parse_config(argv).workers == 1
+        # Without an affinity mask, every CPU the host counts; without a count, one.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert parse_config(argv).workers == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert parse_config(argv).workers == 1
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -917,6 +944,13 @@ PINNED_ARTIFACTS = {
          "--cal-trials", "1000", "--workers", "1"],
         "9f445a0c65215505716d3e84576dda282e56cdff31b2762fbf5836eca95b31bc",
     ),
+    # The same windows scored through a pool give the same bytes.
+    "cfar-sweep-recorded-pool": (
+        ["cfar-sweep", "--detectors", "gd-he,agd,c-gd-he,c-agd,ed,chd,ca-chd",
+         "--recorded", FIXTURE, "--k", "8", "--stride", "4", "--pfa", "0.1",
+         "--cal-trials", "1000", "--workers", "2"],
+        "9f445a0c65215505716d3e84576dda282e56cdff31b2762fbf5836eca95b31bc",
+    ),
     # The default detector set of a recorded sweep: every detector but cd, in
     # DetectorKind order, so the same bytes as the explicit list above.
     "cfar-sweep-recorded-default-detectors": (
@@ -970,7 +1004,28 @@ def test_pinned_manifest_bytes(tmp_path, capsys, name):
 
 
 class TestRecordedBlocks:
-    """A recorded sweep scores each bin `cli._WINDOW_BLOCK` windows at a time."""
+    """A recorded sweep scores each bin `cli._WINDOW_BLOCK` windows at a time, through its pool."""
+
+    _etas = []
+
+    def _calibrated(self, *args):
+        if not self._etas:
+            self._etas.append(calibrate_thresholds(*args))
+        return self._etas[0]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @settings(max_examples=3, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(block=st.integers(1, 40))
+    def test_any_partition_keeps_the_pinned_bytes(self, tmp_path, capsys, workers, block):
+        args, digest = PINNED_ARTIFACTS["cfar-sweep-recorded"]
+        out = str(tmp_path / "artifact.csv")
+        with pytest.MonkeyPatch.context() as patch:
+            # The windows' partition cannot move the white-noise etas: calibrate once.
+            patch.setattr(cli, "calibrate_thresholds", self._calibrated)
+            patch.setattr(cli, "_WINDOW_BLOCK", block)
+            assert main([*args, "--workers", workers, "--out", out]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(_read_bytes(out)).hexdigest() == digest
 
     @pytest.mark.parametrize("block", [1, 3])
     def test_block_partition_keeps_the_pinned_bytes(self, tmp_path, capsys, monkeypatch, block):
@@ -1000,7 +1055,7 @@ class TestRecordedBlocks:
         # Scoring the whole bin as one batch held memory in proportion to it.
         config = cli.RunConfig(
             "cfar-sweep", "unused.csv", scenario=ScenarioConfig(k=16, delta=0.0),
-            estimation=EstimationConfig(), stride=1,
+            estimation=EstimationConfig(), stride=1, workers=1,
             detectors=(DetectorKind.GD_HE, DetectorKind.C_AGD, DetectorKind.ED, DetectorKind.CA_CHD),
         )
         thresholds = dict.fromkeys(config.detectors, 1.0)
@@ -1011,7 +1066,7 @@ class TestRecordedBlocks:
             series = RecordedSeries(cells, [0])
             tracemalloc.start()
             try:
-                cli._bin_counts(config, series, 0, thresholds)
+                cli._recorded_curves(config, series, [0], n_pulses - 15, thresholds)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1036,4 +1091,45 @@ class TestRecordedBlocks:
         assert calls == [3, 3]
         assert capsys.readouterr().err.endswith(
             "\nerror: ed statistic is not finite at burst 1 (bin 2, window 4)\n"
+        )
+
+    def test_pool_workers_need_no_fork(self, tmp_path, capsys, monkeypatch):
+        """Spawned workers get the block function and the recording from the pool's initializer."""
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor",
+                            functools.partial(ProcessPoolExecutor, mp_context=spawn))
+        args, digest = PINNED_ARTIFACTS["cfar-sweep-recorded-pool"]
+        out = str(tmp_path / "artifact.csv")
+        assert main([*args, "--out", out]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(_read_bytes(out)).hexdigest() == digest
+
+    def test_dead_worker_names_its_bin_and_window(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_WINDOW_BLOCK", 3)
+        monkeypatch.setattr(cli, "_window_block", _dies_in_second_window_block)
+        code = main(["cfar-sweep", "--detectors", "ed", "--recorded", FIXTURE, "--bins", "2",
+                     "--pfa", "0.1", "--cal-trials", "1000", "--workers", "2",
+                     "--out", str(tmp_path / "rec.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.endswith(
+            "\nerror: a worker process died; the block at bin 2, window 3 never finished\n"
+        )
+
+    def test_non_finite_statistic_in_a_pool_names_its_bin_and_window(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_WINDOW_BLOCK", 3)
+        scored = cli.statistics_for_bursts
+
+        def last_block_fails(windows, kinds, cfg):
+            # Of a bin's 31 windows, only the last block holds one.
+            if len(windows) == 1:
+                raise NonFiniteStatistic(DetectorKind.ED, 0)
+            return scored(windows, kinds, cfg)
+
+        monkeypatch.setattr(cli, "statistics_for_bursts", last_block_fails)
+        code = main(["cfar-sweep", "--detectors", "ed", "--recorded", FIXTURE, "--bins", "1,2",
+                     "--k", "8", "--stride", "4", "--pfa", "0.1", "--cal-trials", "1000",
+                     "--workers", "2", "--out", str(tmp_path / "rec.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.endswith(
+            "\nerror: ed statistic is not finite at burst 0 (bin 1, window 30)\n"
         )

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from dataclasses import replace
@@ -223,12 +223,12 @@ class TestCalibration:
 _sample_block = montecarlo._sample_block
 
 
-def _dies_in_second_block(args):
+def _dies_in_second_block(context, block):
     """Stand-in block function: the worker given the second block exits without a result."""
-    if args[4] == montecarlo.BLOCK_SIZE:
+    if block.start == montecarlo.BLOCK_SIZE:
         time.sleep(2.0)  # the first block's result arrives before the pool breaks
         os._exit(1)
-    return _sample_block(args)
+    return _sample_block(context, block)
 
 
 def _inline_pools(monkeypatch) -> list:
@@ -236,8 +236,9 @@ def _inline_pools(monkeypatch) -> list:
     pool_sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             pool_sizes.append(max_workers)
+            initializer(*initargs)  # sets this process's worker task, restored below
 
         def __enter__(self):
             return self
@@ -249,6 +250,7 @@ def _inline_pools(monkeypatch) -> list:
             return map(fn, items)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo, "_task", None)
     return pool_sizes
 
 
@@ -535,6 +537,64 @@ class TestSharedGrid:
         thresholds = {kind: 20.0 for kind in kinds}
         with pytest.raises(ValueError, match=message):
             pfa_sweep(kinds, EST, thresholds, scens, self.TRIALS, seed=50, workers=workers)
+
+
+class TestPartitionInvariance:
+    """No result depends on how the trials are cut into blocks, or on the worker count.
+
+    Each example runs at a random `BLOCK_SIZE` and compares with the default
+    partition, one block of `TRIALS` here.
+    """
+
+    KINDS = [DetectorKind.ED, DetectorKind.GD_HE, DetectorKind.C_AGD]
+    SCENS = [ScenarioConfig(k=8, delta=d) for d in (0.0, 20.0)]
+    TRIALS = 150
+    _expected = {}
+
+    def _default(self, name, run):
+        if name not in self._expected:
+            self._expected[name] = run()
+        return self._expected[name]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=6)
+    @given(block=st.integers(1, 64))
+    def test_statistics_and_curves(self, workers, block):
+        thresholds = dict.fromkeys(self.KINDS, 4.0)
+
+        def run(workers=1):
+            stats = sample_statistics(self.KINDS, EST, self.SCENS[1], Hypothesis.H0, self.TRIALS, 70, workers)
+            curves = pfa_sweep(self.KINDS, EST, thresholds, self.SCENS, self.TRIALS, 71, workers)
+            return stats, curves
+
+        stats, curves = self._default("sample", run)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "BLOCK_SIZE", block)
+            cut_stats, cut_curves = run(workers)
+        for kind in self.KINDS:
+            assert cut_stats[kind].tobytes() == stats[kind].tobytes()
+        assert cut_curves == curves
+
+    @settings(max_examples=8)
+    @given(block=st.integers(1, 64), algorithm=st.sampled_from(list(AlgorithmTag)))
+    def test_convergence_trace_adds_blocks_in_order(self, block, algorithm):
+        """The blocks' sums are added in order, so a partition moves only the rounding.
+
+        The default partition's bits are pinned by the CLI's convergence digests.
+        """
+        scen = ScenarioConfig(k=8, delta=5.0, snr_db=10.0)
+        trials = 70
+
+        def run():
+            return np.array(convergence_trace(algorithm, scen, trials, seed=72))
+
+        trace = self._default(algorithm, run)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "BLOCK_SIZE", block)
+            cut = run()
+            assert run().tobytes() == cut.tobytes()
+        np.testing.assert_array_equal(cut[:, 0], trace[:, 0])
+        np.testing.assert_allclose(cut[:, 1], trace[:, 1], rtol=1e-12, atol=0.0)
 
 
 class TestPfaEstimation:

@@ -5,7 +5,10 @@ is spelled out here in full.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -63,3 +66,27 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
     for attr in exported:
         assert hasattr(module, attr), (name, attr)
+
+
+# Imports the CLI, then reports its thread count and the variable it saw last.
+_IMPORT_PROBE = (
+    "import os, hetdet.cli\n"
+    "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("given", [None, "2"])
+def test_import_starts_no_idle_blas_threads(given):
+    """Importing hetdet starts no OpenBLAS worker, and leaves the caller's environment as it was."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hetdet.__file__))
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    probe = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
+                           text=True, check=True)
+    threads, seen = probe.stdout.split()
+    if given is None:
+        assert (threads, seen) == ("1", "None")
+    else:
+        assert seen == given
