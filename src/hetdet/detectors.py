@@ -130,11 +130,13 @@ def _cell_averaged(v: dict) -> np.ndarray:
 
 # A kind's row: the inputs its statistic reads, and the statistic as a function
 # of {input: value}, which also holds the bursts x and their per-sample energies
-# e.  Inputs: z (directions), ml and em (each fit's mean and variances), ll0
-# (no-target log-likelihood), energy, coherent (pulse-sum power) and truth.  The
-# engines are module globals looked up as a row runs, so a wrapper on one holds.
+# e.  Inputs: z (directions), ml and em (each fit's mean and variances; ml also
+# leaves ml_ll, the fit's last log-likelihood, which is gaussian_loglik at its
+# estimates bit for bit), ll0 (no-target log-likelihood), energy, coherent
+# (pulse-sum power) and truth.  The engines are module globals looked up as a
+# row runs, so a wrapper on one holds.
 _ROWS = {
-    DetectorKind.GD_HE: (("ml", "ll0"), lambda v: gaussian_loglik(v["x"], *v["ml"]) - v["ll0"]),
+    DetectorKind.GD_HE: (("ml", "ll0"), lambda v: v["ml_ll"] - v["ll0"]),
     DetectorKind.AGD: (("z", "em"), lambda v: _angular(DetectorKind.AGD, v["z"], *v["em"])),
     DetectorKind.C_GD_HE: (("z", "em", "ll0"), lambda v: gaussian_loglik(v["x"], *v["em"]) - v["ll0"]),
     DetectorKind.C_AGD: (("z", "ml"), lambda v: _angular(DetectorKind.C_AGD, v["z"], *v["ml"])),
@@ -202,7 +204,9 @@ def statistics_batch(
             raise ZeroNormSample(int(zero[0, 0]), int(zero[0, 1]))
         v["z"] = _directions(x, e)[0]
     if "ml" in reads:
-        v["ml"] = cyclic_ml_batch(x, ml_init(e, cfg), cfg.c0, cfg.n_co1, cfg.eps)[:2]
+        m, s2, trace, iters = cyclic_ml_batch(x, ml_init(e, cfg), cfg.c0, cfg.n_co1, cfg.eps)
+        v["ml"] = m, s2
+        v["ml_ll"] = trace[np.arange(iters.size), iters - 1]
     if "em" in reads:
         m0, s20 = em_init(x, v["z"], cfg)
         v["em"] = cyclic_em_batch(v["z"], m0, s20, cfg.c0, cfg.n_co2, cfg.n_em_m, cfg.n_em_sigma,

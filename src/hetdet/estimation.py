@@ -25,7 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    _em_parts,
+    _em_core,
+    _em_mean,
+    _em_resid,
+    _flat_indices,
     _pair_diff,
     _per_plane,
     _project,
@@ -34,7 +37,7 @@ from .numerics import (
     log1p_mills,
 )
 
-# The EM engines run on the unchecked _em_parts kernel.  The checked public
+# The EM engines run on the unchecked _em_core kernel.  The checked public
 # moment kernels stay importable under these names, where perfbench/tracer.py
 # wraps them.
 from .numerics import cond_mean_norm, cond_mean_sq_residual  # noqa: F401
@@ -101,22 +104,12 @@ def angular_loglik(z: np.ndarray, m: np.ndarray, sigma2: np.ndarray) -> np.ndarr
     m = np.asarray(m)
     msq = _sq_norm(m)[..., None]
     t = _project(z, m) / np.sqrt(sigma2)
-    return _loglik_sum(msq, sigma2, log1p_mills(t))
+    return _loglik_sum(msq, 2.0 * sigma2, log1p_mills(t))
 
 
-def _loglik_sum(msq: np.ndarray, sigma2: np.ndarray, log_term: np.ndarray) -> np.ndarray:
-    return np.sum(-msq / (2.0 * sigma2) - _LOG_2PI + log_term, axis=-1)
-
-
-def _em_point(p: np.ndarray, msq: np.ndarray, sigma2: np.ndarray):
-    """(log-likelihood, conditional mean magnitudes, conditional squared residuals).
-
-    All three at one point of the direction EM, from one _em_parts pass over
-    p = z.m (B, K), msq = ||m||^2 (B, 1) and sigma2 (B, K).  The
-    log-likelihood equals angular_loglik at that point bit for bit.
-    """
-    log_term, mean, resid = _em_parts(p, sigma2)
-    return _loglik_sum(msq, sigma2, log_term), mean, resid + msq
+def _loglik_sum(msq: np.ndarray, two_s2: np.ndarray, log_term: np.ndarray) -> np.ndarray:
+    """angular_loglik from ||m||^2 (..., 1), 2*sigma2 and the log1p_mills terms."""
+    return np.add.reduce(-msq / two_s2 - _LOG_2PI + log_term, axis=-1)
 
 
 def _h0_variances(e: np.ndarray, c0: float) -> np.ndarray:
@@ -146,8 +139,13 @@ def _ascend(step, state, consts, ll0, n_max: int, eps: float):
     Returns (state, trace (B, n_max + 1) with ll0 in column 0 and NaN past
     each burst's stopping point, iteration counts (B,)).
 
-    The loop keeps the active rows compacted: an iteration where no burst
-    stops copies nothing, and one where some stop writes back only theirs.
+    Every step treats each row on its own, so the order of the active rows
+    is free: when some bursts stop, the surviving rows past the new end move
+    into the stopped rows' places, and an iteration copies only as many rows
+    as stopped.  The working arrays are copied once, at the first such move.
+    Until then they may be views of the returned state, so a step may update
+    its state arrays in place: the rows it is given belong to running
+    bursts, whose rows of the returned state are written when they stop.
     """
     out = tuple(np.array(s, dtype=float) for s in state)
     b = ll0.shape[0]
@@ -155,26 +153,34 @@ def _ascend(step, state, consts, ll0, n_max: int, eps: float):
     trace[:, 0] = ll0
     iters = np.full(b, n_max)
     rows = np.arange(b)
-    cur, last = out, ll0
+    cur, last, owned = out, ll0, False
     for n in range(1, n_max + 1):
         cur, ll = step(*cur, *consts)
         trace[rows, n] = ll
-        done = np.abs(ll - last) < eps
+        # At the cap every remaining burst stops.
+        done = (np.abs(ll - last) < eps) | (n == n_max)
         if done.any():
-            stopped = rows[done]
+            hit = done.nonzero()[0]
+            stopped = rows[hit]
             for o, s in zip(out, cur):
-                o[stopped] = s[done]
+                o[stopped] = s[hit]
             iters[stopped] = n
-            keep = ~done
-            rows = rows[keep]
-            if not rows.size:
-                return out, trace, iters
-            cur = tuple(s[keep] for s in cur)
-            consts = tuple(c[keep] for c in consts)
-            ll = ll[keep]
+            live = rows.size - hit.size
+            if not live:
+                break
+            holes = hit[: np.searchsorted(hit, live)]
+            if holes.size:
+                if not owned:
+                    cur = tuple(s.copy() for s in cur)
+                    consts = tuple(np.array(c) for c in consts)
+                    owned = True
+                movers = live + (~done[live:]).nonzero()[0]
+                for a in (*cur, *consts, ll, rows):
+                    a[holes] = a[movers]
+            cur = tuple(s[:live] for s in cur)
+            consts = tuple(c[:live] for c in consts)
+            ll, rows = ll[:live], rows[:live]
         last = ll
-    for o, s in zip(out, cur):
-        o[rows] = s
     return out, trace, iters
 
 
@@ -205,21 +211,26 @@ def em_mean_batch(z: np.ndarray, m_init: np.ndarray, sigma2: np.ndarray, n_max: 
     """EM over the mean with variances held fixed, batched.
 
     Trace has n_max + 1 columns; column 0 is the log-likelihood at m_init.
+    Each evaluation computes the log-likelihood and the conditional mean
+    only, from per-pass constants sigma, 2 sigma^2, w and sum(w).
     """
 
-    def at(za, m, s2):
-        ll, h, _ = _em_point(_project(za, m), _sq_norm(m)[:, None], s2)
-        return ll, h
+    def at(za, m, sig, two_s2):
+        p = _project(za, m)
+        core = _em_core(p, sig)
+        return _loglik_sum(_sq_norm(m)[:, None], two_s2, core.log_term), _em_mean(p, sig, core)
 
-    def step(m, h, za, s2, w, w_sum):
+    def step(m, h, za, sig, two_s2, w, w_sum):
         m_new = _per_plane(np.divide, _pulse_sum(_per_plane(np.multiply, za, h * w)), w_sum)
-        ll_new, h_new = at(za, m_new, s2)
+        ll_new, h_new = at(za, m_new, sig, two_s2)
         return (m_new, h_new), ll_new
 
+    sig = np.sqrt(sigma2)
+    two_s2 = 2.0 * sigma2
     w = 1.0 / sigma2
-    ll0, h0 = at(z, m_init, sigma2)
+    ll0, h0 = at(z, m_init, sig, two_s2)
     (m, _), trace, iters = _ascend(
-        step, (m_init, h0), (z, sigma2, w, np.sum(w, axis=1)), ll0, n_max, eps
+        step, (m_init, h0), (z, sig, two_s2, w, np.sum(w, axis=1)), ll0, n_max, eps
     )
     return m, trace, iters
 
@@ -229,17 +240,36 @@ def em_sigma_batch(z: np.ndarray, m: np.ndarray, sigma2_init: np.ndarray, c0: fl
 
     The floored update is the constrained maximizer of each step's surrogate,
     so the trace stays non-decreasing.  Trace column 0 is the starting value.
+
+    With p = z.m fixed, an element's log term and residual depend on its own
+    variance alone.  So an element whose floored update equals its variance
+    keeps both, bit for bit, and each step evaluates only the elements that
+    moved.
     """
 
-    def step(s2, resid, p, msq):
-        s2_new = np.maximum(0.5 * resid, c0)
-        ll_new, _, resid_new = _em_point(p, msq, s2_new)
-        return (s2_new, resid_new), ll_new
+    def at(p, p2, s2):
+        core = _em_core(p, np.sqrt(s2))
+        return core.log_term, _em_resid(p2, s2, core)
+
+    def step(s2, resid, log_term, p, p2, msq):
+        s2_new = resid + msq
+        s2_new *= 0.5
+        np.maximum(s2_new, c0, out=s2_new)
+        moved = _flat_indices(s2_new != s2)
+        if moved.size == s2.size:
+            log_term, resid = at(p, p2, s2_new)
+        elif moved.size:
+            log_moved, resid_moved = at(p.take(moved), p2.take(moved), s2_new.take(moved))
+            np.put(log_term, moved, log_moved)
+            np.put(resid, moved, resid_moved)
+        return (s2_new, resid, log_term), _loglik_sum(msq, 2.0 * s2_new, log_term)
 
     p = _project(z, m)
+    p2 = p * p
     msq = _sq_norm(m)[:, None]
-    ll0, _, resid0 = _em_point(p, msq, sigma2_init)
-    (s2, _), trace, iters = _ascend(step, (sigma2_init, resid0), (p, msq), ll0, n_max, eps)
+    log_term0, resid0 = at(p, p2, sigma2_init)
+    ll0 = _loglik_sum(msq, 2.0 * sigma2_init, log_term0)
+    (s2, _, _), trace, iters = _ascend(step, (sigma2_init, resid0, log_term0), (p, p2, msq), ll0, n_max, eps)
     return s2, trace, iters
 
 

@@ -41,6 +41,8 @@ in one pass each, and give numpy's bits:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.special import erfcx, log_ndtr
 
@@ -142,6 +144,11 @@ def _project(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     return p
 
 
+def _flat_indices(mask: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(mask) without its Python wrapper, which the EM's many small calls feel."""
+    return mask.ravel().nonzero()[0]
+
+
 def _cf_tails(s: np.ndarray, depth: int = _CF_DEPTH):
     """Tails of the Gauss continued fraction for the Mills ratio at s = -t >= 4.
 
@@ -159,63 +166,120 @@ def _cf_tails(s: np.ndarray, depth: int = _CF_DEPTH):
 def _log1p_mills_core(t: np.ndarray, cf_edge: float = _BRANCH):
     """The one evaluation of the Mills ratio R = Phi(t)/phi(t), on an array of ndim >= 1.
 
-    Returns (log1p(t*R), R, t*R, pos, tp, neg, tail2).  log1p(t*R) is accurate
-    on every branch.  R and t*R come from the erfcx pass on t clipped to
-    [-8, 8], so they hold only where -8 < t < 8.  pos masks t >= 8, and tp
-    is t[pos].  neg masks t <= -cf_edge, where the continued fraction runs,
-    and tail2 is its tail(2) there; it gives the log term only at t <= -8.
-    `_em_parts` passes cf_edge = 4 to take its moments from the same tails.
-    tp and tail2 are None when their branch is empty, so that no caller
-    tests a mask twice.  The branches assign through masks, hence ndim >= 1.
+    Returns (log1p(t*R), R, t*R, pos, neg, tail2, tp, log_pos).  log1p(t*R)
+    is accurate on every branch.  R and t*R come from the erfcx pass, so they
+    hold only where -8 < t < 8.  pos and neg are the flat indices of t >= 8
+    and of t <= -cf_edge, where the continued fraction runs, and tail2 is its
+    tail(2) at neg; it gives the log term only at t <= -8.  tp and log_pos
+    are t and the log term at pos.  `_em_core` passes cf_edge = 4 to take its
+    moments from the same tails.  The tails are rare (t >= 8 holds a few
+    percent of the EM's elements, t <= -4 almost none), so each branch
+    gathers and scatters by index, and costs nothing when empty.
     """
-    # Clipping keeps the erfcx pass finite; the tail branches overwrite it.
-    tc = np.clip(t, -_BRANCH, _BRANCH)
-    ratio = _SQRT_HALF_PI * erfcx(-tc / _SQRT_2)
+    pos = _flat_indices(t >= _BRANCH)
+    # The tail branches overwrite the erfcx pass.  Its argument is floored to
+    # stay finite, and 0 at t >= 8, where erfcx is cheapest.
+    tc = np.maximum(t, -_BRANCH)
+    tp = log_pos = tail2 = None
+    if pos.size:
+        np.put(tc, pos, 0.0)
+    # (-tc)/sqrt(2) and tc/(-sqrt(2)) round alike: IEEE division is sign-symmetric.
+    ratio = erfcx(tc / -_SQRT_2)
+    ratio *= _SQRT_HALF_PI
     tr = tc * ratio
     log_term = np.log1p(tr)
-    tp = tail2 = None
-    pos = t >= _BRANCH
-    if pos.any():
-        tp = t[pos]
+    if pos.size:
+        tp = t.take(pos)
         # 1/phi(t) overflows near t = 38, so stay in the log domain.
         lm = np.log(tp) + log_ndtr(tp) + 0.5 * tp * tp + 0.5 * _LOG_2PI
-        log_term[pos] = lm + np.log1p(np.exp(-lm))
-    neg = t <= -cf_edge
-    if neg.any():
-        s = -t[neg]
+        log_pos = lm + np.log1p(np.exp(-lm))
+        np.put(log_term, pos, log_pos)
+    neg = _flat_indices(t <= -cf_edge)
+    if neg.size:
+        s = -t.take(neg)
         tail1, tail2 = _cf_tails(s)
         deep = s >= _BRANCH
-        log_term[neg] = np.where(deep, np.log(tail1) - np.log(s + tail1), log_term[neg])
-    return log_term, ratio, tr, pos, tp, neg, tail2
+        np.put(log_term, neg, np.where(deep, np.log(tail1) - np.log(s + tail1), log_term.take(neg)))
+    return log_term, ratio, tr, pos, neg, tail2, tp, log_pos
+
+
+class _Mills(NamedTuple):
+    """One evaluation of `_em_core` at t = p/sigma.
+
+    log_term is log1p_mills(t).  a = 1/(1 + t*R), but exp(-log term) at
+    t >= 8, where R itself overflows.  g is the slope of the conditional mean:
+    it is p + sigma*g, or sigma*g at neg, the flat indices of t <= -4, with
+    g = R*a, (1 - a)/t at t >= 8, and tail2, the continued fraction's tail(2),
+    at neg.
+    """
+
+    t: np.ndarray
+    log_term: np.ndarray
+    a: np.ndarray
+    g: np.ndarray
+    neg: np.ndarray
+    tail2: np.ndarray | None
+
+
+def _em_core(p: np.ndarray, sig: np.ndarray) -> _Mills:
+    """The Mills-ratio parts that both conditional moments are rational in, at t = p/sig.
+
+    Unchecked kernel of the direction EM: p and sig = sqrt(sigma2) are
+    same-shape float arrays of ndim >= 1 with sig > 0.  The log term is
+    log1p_mills(t) bit for bit.  `_em_mean` and `_em_resid` finish the two
+    moments, so a pass computes only the moment it reads.
+    """
+    t = p / sig
+    log_term, ratio, tr, pos, neg, tail2, tp, log_pos = _log1p_mills_core(t, _BRANCH_MOMENTS)
+    a = tr
+    a += 1.0
+    np.divide(1.0, a, out=a)
+    g = ratio
+    g *= a
+    if pos.size:
+        # 1/(1 + t*R) = exp(-log term): R itself overflows out here.
+        a_pos = np.exp(-log_pos)
+        np.put(a, pos, a_pos)
+        np.put(g, pos, (1.0 - a_pos) / tp)
+    if neg.size:
+        np.put(g, neg, tail2)
+    return _Mills(t, log_term, a, g, neg, tail2)
+
+
+def _em_mean(p: np.ndarray, sig: np.ndarray, core: _Mills) -> np.ndarray:
+    """Conditional mean magnitude sigma*(t + R/(1 + t*R)) from `_em_core`'s parts."""
+    neg = core.neg
+    sg = sig * core.g
+    mean = sg + p
+    if neg.size:
+        # The direct forms cancel for t <= -4; the tails do not.
+        np.put(mean, neg, sg.take(neg))
+    return mean
+
+
+def _em_resid(p2: np.ndarray, sigma2: np.ndarray, core: _Mills) -> np.ndarray:
+    """Conditional squared residual less ||m||^2, sigma^2*(1 + a) - p^2, from `_em_core`'s parts and p2 = p^2."""
+    neg = core.neg
+    resid = core.a + 1.0
+    resid *= sigma2
+    resid -= p2
+    if neg.size:
+        np.put(resid, neg, sigma2.take(neg) * (2.0 - core.t.take(neg) * core.tail2))
+    return resid
 
 
 def _em_parts(p: np.ndarray, sigma2: np.ndarray):
     """Log-likelihood term and both conditional moments from one Mills ratio.
 
-    Unchecked kernel of the direction EM loop: p and sigma2 are same-shape
-    float arrays of ndim >= 1 with sigma2 > 0.  With t = p/sigma and
-    R = Phi(t)/phi(t), returns (log1p(t*R), sigma*(t + R/(1 + t*R)),
-    sigma^2*(1 + 1/(1 + t*R)) - p^2): the log1p_mills term, cond_mean_norm,
-    and cond_mean_sq_residual less norm_m_sq.  R comes from
-    `_log1p_mills_core`, so the log term is log1p_mills(t) bit for bit;
-    only the moment forms of the two tails live here.
+    p and sigma2 are same-shape float arrays of ndim >= 1 with sigma2 > 0.
+    With t = p/sigma and R = Phi(t)/phi(t), returns (log1p(t*R),
+    sigma*(t + R/(1 + t*R)), sigma^2*(1 + 1/(1 + t*R)) - p^2): the
+    log1p_mills term, cond_mean_norm, and cond_mean_sq_residual less
+    norm_m_sq, each with the bits the EM passes get from `_em_core`.
     """
     sig = np.sqrt(sigma2)
-    t = p / sig
-    log_term, ratio, tr, pos, tp, neg, tail2 = _log1p_mills_core(t, _BRANCH_MOMENTS)
-    a = 1.0 / (1.0 + tr)
-    mean = p + sig * (ratio * a)
-    resid = sigma2 * (1.0 + a) - p**2
-    if tp is not None:
-        # 1/(1 + t*R) = exp(-log term): R itself overflows out here.
-        a_pos = np.exp(-log_term[pos])
-        mean[pos] = p[pos] + sig[pos] * ((1.0 - a_pos) / tp)
-        resid[pos] = sigma2[pos] * (1.0 + a_pos) - p[pos] ** 2
-    if tail2 is not None:
-        # The direct forms cancel for t <= -4; the tails do not.
-        mean[neg] = sig[neg] * tail2
-        resid[neg] = sigma2[neg] * (2.0 - t[neg] * tail2)
-    return log_term, mean, resid
+    core = _em_core(p, sig)
+    return core.log_term, _em_mean(p, sig, core), _em_resid(p**2, sigma2, core)
 
 
 def log1p_mills(t):

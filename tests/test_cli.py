@@ -582,14 +582,14 @@ class TestMainExitCodes:
         assert err.endswith("\nerror: cannot normalize a zero-norm sample at burst 131, pulse 3 (trial 131)\n")
 
     def test_non_finite_statistic_is_3(self, tmp_path, capsys, monkeypatch):
-        fused = estimation._em_parts
+        fused = estimation._em_mean
 
-        def poisoned(p, sigma2):
-            log_term, mean, resid = fused(p, sigma2)
+        def poisoned(p, sig, core):
+            mean = fused(p, sig, core)
             mean[0] = np.nan
-            return log_term, mean, resid
+            return mean
 
-        monkeypatch.setattr(estimation, "_em_parts", poisoned)
+        monkeypatch.setattr(estimation, "_em_mean", poisoned)
         code = main(["pd-curve", "--detectors", "ed,c-gd-he", "--snr-grid", "6", "--pfa", "0.5",
                      "--cal-trials", "200", "--trials", "10", "--workers", "1",
                      "--out", str(tmp_path / "c.csv")])

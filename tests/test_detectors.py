@@ -13,7 +13,8 @@ from hetdet.detectors import (
     angular_statistic,
     statistics_batch,
 )
-from hetdet.estimation import EstimationConfig
+from hetdet.estimation import EstimationConfig, _h0_variances, cyclic_ml_batch, gaussian_loglik, ml_init
+from hetdet.numerics import _sq_norm
 from hetdet.scenario import Hypothesis, ScenarioConfig, gen_block
 
 ALL_KINDS = list(DetectorKind)
@@ -177,6 +178,28 @@ class TestAdaptiveStatistics:
             assert np.all(np.isfinite(values)), kind
 
 
+class TestGdHeReadsItsFit:
+    """gd-he takes the raw log-likelihood from the cyclic-ML trace, not from a second evaluation."""
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("n_co1", [5, 15])
+    def test_fit_loglik_is_gaussian_loglik_at_its_estimates(self, seed, n_co1):
+        rng = np.random.default_rng(seed)
+        scen = ScenarioConfig(k=int(rng.integers(2, 33)), delta=float(rng.choice([0.0, 10.0, 50.0])),
+                              snr_db=float(rng.uniform(0.0, 15.0)))
+        x, _ = gen_block(scen, Hypothesis(rng.choice(["h0", "h1"])), seed, 0, 300)
+        cfg = EstimationConfig(c0=float(rng.choice([1.0, 0.25])), n_co1=n_co1)
+        m, s2, trace, iters = cyclic_ml_batch(x, ml_init(_sq_norm(x), cfg), cfg.c0, cfg.n_co1, cfg.eps)
+        # Early-stopped and capped bursts both.
+        assert np.any(iters < n_co1) and np.any(iters == n_co1)
+        fit = trace[np.arange(iters.size), iters - 1]
+        assert fit.tobytes() == gaussian_loglik(x, m, s2).tobytes()
+        ll0 = _sq_norm(x)
+        ll0 = estimation._gaussian_sum(ll0, _h0_variances(ll0, cfg.c0))
+        stat = statistics_batch(x, [DetectorKind.GD_HE], cfg)[DetectorKind.GD_HE]
+        assert stat.tobytes() == (gaussian_loglik(x, m, s2) - ll0).tobytes()
+
+
 class TestStatisticsBatch:
     def test_rows_match_one_burst_stacks(self):
         scfg = ScenarioConfig(k=16, delta=10.0, snr_db=12.0)
@@ -273,15 +296,15 @@ class TestStatisticsBatch:
 
 def _poison_em_kernel(monkeypatch, row=3):
     """Make the EM kernel return a NaN conditional mean in one row of every call."""
-    fused = estimation._em_parts
+    fused = estimation._em_mean
 
-    def poisoned(p, sigma2):
-        log_term, mean, resid = fused(p, sigma2)
+    def poisoned(p, sig, core):
+        mean = fused(p, sig, core)
         if mean.shape[0] > row:
             mean[row] = np.nan
-        return log_term, mean, resid
+        return mean
 
-    monkeypatch.setattr(estimation, "_em_parts", poisoned)
+    monkeypatch.setattr(estimation, "_em_mean", poisoned)
 
 
 class TestNonFiniteStatistics:

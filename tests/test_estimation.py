@@ -3,6 +3,8 @@
 Single-burst checks run the batched engines on a stack of one.
 """
 
+import hashlib
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from hetdet.estimation import (
     angular_loglik,
     cyclic_em_batch,
     cyclic_ml_batch,
+    em_init,
     em_mean_batch,
     em_sigma_batch,
     gaussian_loglik,
+    ml_init,
 )
 from hetdet.numerics import _sq_norm, cond_mean_norm, cond_mean_sq_residual, log1p_mills
 from hetdet.scenario import Hypothesis, ScenarioConfig, directions, gen_block
@@ -495,3 +499,75 @@ class TestFusedEngines:
             assert np.nanmax(np.abs(trace - ref_trace) / scale) <= 1e-12
             for got, want in zip(states, ref_states):
                 _assert_close_rows(got, want)
+
+
+# sha256 of both engines' outputs (m, sigma2, trace, iteration counts, as
+# little-endian bytes) on 128 bursts at K=16, seed 24, for each
+# (hypothesis, SNR dB, delta).  Each digest covers c0 in {1, 0.25}: cyclic EM
+# with paper_init off and on, cyclic ML once.  No pinned CSV runs K=16,
+# paper_init or c0 != 1, so these are the only bit pins there.
+ENGINE_PINS = {
+    ("h0", 0.0, 0.0): "a478a4571d6d5c7ccb7dc4581d7187b411ca26d7973ba0f68324cc146bf5428b",
+    ("h0", 0.0, 10.0): "9a764673d88226e7b709dc5ecd910cb2ed9a80f9a8f6e6c8103e0ac01d4b8351",
+    ("h0", 0.0, 50.0): "cee76d861c7145b9ee73abee51a2927144bca5745aebf0e595eb4948819ad766",
+    ("h1", 6.0, 0.0): "6751c53f082fd59549b1d507b927be98176a72947d07988e8e5452d0b7071065",
+    ("h1", 6.0, 10.0): "0f149bfbd2b8ca572a83f50f9f57928626d38e4e405847af89cab44e3d13cc94",
+    ("h1", 6.0, 50.0): "e6955e4f84a1377dffee769d99388e876fe180914b7c702ef114a94793ab998b",
+    ("h1", 9.0, 0.0): "4d705beb8ec40c87be2fc08c03d4dcac90190e9f2895fc1899fc5725e786b267",
+    ("h1", 9.0, 10.0): "54f1864478d94ec5126ab848775a968403bc7b54c14865aa79fc1e21c0511d9b",
+    ("h1", 9.0, 50.0): "eacf9aab5785c27e272cd3a7b0904c633dbc1a41e180c38a286ac20874cbfd23",
+    ("h1", 12.0, 0.0): "ed32548dcf2e1b2ba7e66ef10858e026df65b10350ec4571d4bf2e4ca1ea1479",
+    ("h1", 12.0, 10.0): "0e1984f33809f68428c82f30fbeb7c349c8875b8458caee1aa7ed9e21f478658",
+    ("h1", 12.0, 50.0): "419096fb82c3f30ccb62a4042196b398de2535dbdd5984e749b7500f11de0eb6",
+}
+
+
+def _engine_digest(runs) -> str:
+    """sha256 of engine outputs in order: each float array as little-endian f8, the iteration counts as i8."""
+    digest = hashlib.sha256()
+    for *values, iters in runs:
+        for a in values:
+            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(iters, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+class TestEnginePins:
+    """Both batched engines keep their output bits, early-stopped and capped bursts alike."""
+
+    @pytest.mark.parametrize("case", list(ENGINE_PINS), ids=lambda c: f"{c[0]}-{c[1]:g}dB-delta{c[2]:g}")
+    def test_outputs_keep_their_bits(self, case):
+        hypothesis, snr_db, delta = case
+        x, _ = gen_block(ScenarioConfig(k=16, delta=delta, snr_db=snr_db), Hypothesis(hypothesis), 24, 0, 128)
+        z = directions(x)[0]
+        runs = []
+        for c0 in (1.0, 0.25):
+            for paper_init in (False, True):
+                cfg = EstimationConfig(c0=c0, paper_init=paper_init)
+                runs.append(cyclic_em_batch(z, *em_init(x, z, cfg), cfg.c0, cfg.n_co2, cfg.n_em_m,
+                                            cfg.n_em_sigma, cfg.eps1, cfg.eps2, cfg.eps3))
+                if not paper_init:
+                    runs.append(cyclic_ml_batch(x, ml_init(_sq_norm(x), cfg), cfg.c0, cfg.n_co1, cfg.eps))
+        assert _engine_digest(runs) == ENGINE_PINS[case]
+
+    def test_start_with_deep_negative_projections_keeps_its_bits(self):
+        """A start far from the data puts some t = p/sigma below -4, the continued-fraction branch."""
+        x, _ = gen_block(ScenarioConfig(k=16, delta=0.0, snr_db=3.0), Hypothesis.H1, 26, 0, 128)
+        z = directions(x)[0]
+        m0 = np.stack([np.full(128, 6.0), np.zeros(128)], axis=1)
+        s20 = np.full((128, 16), 0.3)
+        assert np.any(np.einsum("bkj,bj->bk", z, m0) / np.sqrt(s20) <= -4.0)
+        runs = []
+        for c0 in (0.3, 0.01):
+            runs += [em_mean_batch(z, m0, s20, 20, 1e-3), em_sigma_batch(z, m0, s20, c0, 20, 1e-2),
+                     cyclic_em_batch(z, m0, s20, c0, 15, 20, 20, 1e-3, 1e-2, 1e-2)]
+        assert _engine_digest(runs) == "4123bbac3fdf390b2465496832d5372fc7c36dabbdaed33ea05aa7544ba2f933"
+
+    def test_inner_caps_of_zero_and_one_keep_their_bits(self):
+        """Inner passes that run no step, or one, return their start or their first point."""
+        x, _ = gen_block(ScenarioConfig(k=16, delta=10.0, snr_db=9.0), Hypothesis.H1, 3, 0, 64)
+        z = directions(x)[0]
+        m0, s20 = em_init(x, z, EstimationConfig())
+        runs = [cyclic_em_batch(z, m0, s20, 1.0, 5, n_em_m, n_em_sigma, 1e-3, 1e-2, 1e-2)
+                for n_em_m, n_em_sigma in ((0, 20), (20, 0), (0, 0), (1, 1))]
+        assert _engine_digest(runs) == "675d1db71a88c7a22d7f355ff0a117cbdf277d7c309869f65a4151db3d56ab0c"

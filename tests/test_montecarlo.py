@@ -344,7 +344,7 @@ class TestSampleStatistics:
     def test_non_finite_error_names_the_trial(self, monkeypatch, kind):
         scen = ScenarioConfig(k=16, delta=10.0)
         cfg = EstimationConfig(n_co2=2)
-        fused = estimation._em_parts
+        fused = estimation._em_mean
         draw = montecarlo._draw_block
         block = {}
 
@@ -352,14 +352,14 @@ class TestSampleStatistics:
             block["start"] = start
             return draw(scen, seed, start, count)
 
-        def poisoned(p, sigma2):
-            log_term, mean, resid = fused(p, sigma2)
+        def poisoned(p, sig, core):
+            mean = fused(p, sig, core)
             if block["start"] == 512 and mean.shape[0] > 3:
                 mean[3] = np.nan
-            return log_term, mean, resid
+            return mean
 
         monkeypatch.setattr(montecarlo, "_draw_block", drawn)
-        monkeypatch.setattr(estimation, "_em_parts", poisoned)
+        monkeypatch.setattr(estimation, "_em_mean", poisoned)
         # Where the NaN lands within the second block, from the batch alone.
         x, _ = montecarlo._bursts(scen, Hypothesis.H0, *drawn(scen, 9, 512, 8))
         with pytest.raises(NonFiniteStatistic) as err:

@@ -214,6 +214,41 @@ class TestEmParts:
                 np.testing.assert_allclose(part, part[1], rtol=1e-12)
 
 
+class TestEmPieces:
+    """The pieces the EM passes evaluate apart give `_em_parts`'s bits on every branch."""
+
+    @staticmethod
+    def _grid(seed=0):
+        # (B, K) = (40, 16) with t = p/sigma on all four branches: <= -8, (-8, -4], interior, >= 8.
+        rng = np.random.default_rng(seed)
+        t = rng.choice([-30.0, -9.0, -6.0, -4.0, -1.0, 0.0, 2.0, 7.9, 8.0, 12.0, 40.0], size=(40, 16))
+        t = t * rng.uniform(0.9, 1.1, size=t.shape)
+        sigma2 = rng.choice([0.01, 1.0, 0.37, 40.0], size=t.shape)
+        return t * np.sqrt(sigma2), sigma2
+
+    def test_pieces_match_em_parts(self):
+        p, sigma2 = self._grid()
+        sig = np.sqrt(sigma2)
+        core = nm._em_core(p, sig)
+        assert np.any(core.t >= 8.0) and core.neg.size
+        log_term, mean, resid = nm._em_parts(p, sigma2)
+        assert core.log_term.tobytes() == log_term.tobytes()
+        assert nm._em_mean(p, sig, core).tobytes() == mean.tobytes()
+        assert nm._em_resid(p * p, sigma2, core).tobytes() == resid.tobytes()
+
+    def test_element_subset_matches_whole_evaluation(self):
+        """What an element gets does not depend on which others are evaluated with it."""
+        p, sigma2 = self._grid(2)
+        log_term, mean, resid = nm._em_parts(p, sigma2)
+        idx = (np.random.default_rng(3).random(p.size) < 0.4).nonzero()[0]
+        ps, s2s = p.take(idx), sigma2.take(idx)
+        sig = np.sqrt(s2s)
+        core = nm._em_core(ps, sig)
+        assert core.log_term.tobytes() == log_term.take(idx).tobytes()
+        assert nm._em_resid(ps * ps, s2s, core).tobytes() == resid.take(idx).tobytes()
+        assert nm._em_mean(ps, sig, core).tobytes() == mean.take(idx).tobytes()
+
+
 _SIGMA2 = st.floats(1e-3, 1e3)
 
 

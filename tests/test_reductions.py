@@ -18,13 +18,13 @@ from hetdet import detectors
 from hetdet.detectors import DetectorKind, statistics_batch
 from hetdet.estimation import (
     EstimationConfig,
-    _em_point,
     cyclic_ml_batch,
     em_init,
     em_mean_batch,
     em_sigma_batch,
 )
 from hetdet.numerics import (
+    _em_parts,
     _pair_diff,
     _pair_sum,
     _per_plane,
@@ -197,6 +197,12 @@ def _ref_cyclic_ml(x, sigma2_init, c0, n_max, eps):
         step, (np.zeros((b, 2)), sigma2_init), (x,), np.full(b, -np.inf), n_max, eps
     )
     return m, s2, trace[:, 1:], iters
+
+
+def _em_point(p, msq, sigma2):
+    """(log-likelihood, conditional mean magnitudes, conditional squared residuals) at one EM point."""
+    log_term, mean, resid = _em_parts(p, sigma2)
+    return np.sum(-msq / (2.0 * sigma2) - np.log(2.0 * np.pi) + log_term, axis=-1), mean, resid + msq
 
 
 def _ref_em_mean(z, m_init, sigma2, n_max, eps):
