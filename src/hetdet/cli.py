@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,10 +35,10 @@ from .montecarlo import (
     _block_results,
     _calibration_floor,
     _check_calibration_size,
-    _exceeding,
+    _exceedance_curves,
+    _grid_scenario,
     calibrate_thresholds,
     convergence_trace,
-    curve_point,
     pd_curves,
     pfa_sweep,
     statistics_for_bursts,
@@ -285,15 +285,6 @@ def _build_scenario(given, command: str, recorded: bool) -> ScenarioConfig:
     )
 
 
-def _grid_scenario(scen: ScenarioConfig, grid_kind: str, value: float) -> ScenarioConfig:
-    """The scenario of one grid point: a heterogeneity level, Gamma shape or SNR."""
-    if grid_kind == "delta":
-        return replace(scen, delta=value, texture_shape=None)
-    if grid_kind == "q":
-        return replace(scen, delta=None, texture_shape=value)
-    return replace(scen, snr_db=value)
-
-
 def _parse_grid(given, scen: ScenarioConfig, grid_kind: str) -> dict:
     """The `<grid_kind>_grid` fields, each value checked by the scenario it will build.
 
@@ -378,7 +369,9 @@ def _resolve(command: str, given: dict) -> RunConfig:
             bin_label=_number(given, "bin_label", None, int), **_offset_fields(given),
         )
 
-    seed = _number(given, "seed", 0, int, minimum=0)
+    # A recorded sweep draws only its calibration: there seed only sets cal_seed's default.
+    reads_seed = recorded is None or "cal_seed" not in given
+    seed = _number(given, "seed", 0, int, minimum=0) if reads_seed else None
     scen = _build_scenario(given, command, recorded is not None)
     settings = {"scenario": scen, "estimation": _build_estimation(given, scen)}
     if command == "convergence":
@@ -403,18 +396,19 @@ def _resolve(command: str, given: dict) -> RunConfig:
 
     settings.update(
         cal_trials=_calibration_size(given, "cal_trials", pfa, floor),
-        cal_seed=_number(given, "cal_seed", seed + 1, int, minimum=0),
+        cal_seed=_number(given, "cal_seed", seed + 1 if reads_seed else None, int, minimum=0),
     )
     if recorded is not None:
         bad = [k.value for k in detectors if k.requires_truth]
         if bad:
             raise ConfigError(f"recorded data carries no ground truth for: {', '.join(bad)}")
-        bins = _parse_list(given.pop("bins", None), "bins", int)
-        if len(set(bins)) != len(bins):
+        bins = _parse_list(given.pop("bins"), "bins", int) if "bins" in given else None
+        if bins == ():
+            raise ConfigError("--bins needs at least one value")
+        if bins and len(set(bins)) != len(bins):
             raise ConfigError("duplicate range bins")
-        # A recorded sweep: its windows come from the file; seed only sets cal_seed's default.
         return RunConfig(
-            command, out, recorded=recorded, bins=bins or None,
+            command, out, recorded=recorded, bins=bins,
             stride=_number(given, "stride", scen.k, int, minimum=1),
             **_offset_fields(given), **settings,
         )
@@ -479,32 +473,25 @@ def _check_bins(config: RunConfig, series, bins):
 
 
 def _window_block(context, block: _Block) -> dict:
-    """{kind: windows of the block whose statistic strictly exceeds its eta}."""
-    config, series, thresholds = context
+    """{kind: statistics} of the block's sliding windows."""
+    config, series = context
     windows = sliding_bursts(series, block.bin, config.scenario.k, config.stride, block.start, block.count)
-    stats = statistics_for_bursts(windows, config.detectors, config.estimation)
-    return {kind: _exceeding(stats[kind], thresholds[kind], 0) for kind in config.detectors}
+    return statistics_for_bursts(windows, config.detectors, config.estimation)
 
 
 def _recorded_curves(config: RunConfig, series, bins, n_windows: int, thresholds: dict) -> dict:
     """{kind: [CurvePoint per bin]}: the Pfa of each bin's `n_windows` sliding windows.
 
     The windows are cut and scored `_WINDOW_BLOCK` at a time, through
-    `config.workers` processes, and only the counts are kept, so nothing held
-    grows with a bin's pulse count.
+    `config.workers` processes, and counted as each block arrives, so
+    nothing held grows with a bin's pulse count.
     """
     starts = range(0, n_windows, _WINDOW_BLOCK)
     blocks = [_Block(start, min(_WINDOW_BLOCK, n_windows - start), b) for b in bins for start in starts]
-    counts = {kind: dict.fromkeys(bins, 0) for kind in config.detectors}
     _progress(f"scoring {len(bins)} bin(s): {n_windows} sliding bursts each")
-    results = _block_results(_window_block, (config, series, thresholds), blocks, config.workers)
-    for block, block_counts in zip(blocks, results):
-        for kind, count in block_counts.items():
-            counts[kind][block.bin] += count
-    return {
-        kind: [curve_point(float(b), n, n_windows) for b, n in by_bin.items()]
-        for kind, by_bin in counts.items()
-    }
+    results = _block_results(_window_block, (config, series), blocks, config.workers)
+    scored = zip((i for i in range(len(bins)) for _ in starts), results)  # blocks run bin by bin
+    return _exceedance_curves(config.detectors, thresholds, [float(b) for b in bins], n_windows, scored)
 
 
 def _run_calibrate(config: RunConfig) -> dict:

@@ -13,7 +13,7 @@ Three reference statistics need no estimation (ed, chd, ca_chd) and one is
 clairvoyant (cd, true parameters supplied).  Each kind is one row of `_ROWS`:
 its inputs and its statistic.  `statistics_batch` scores any subset over a
 stack of bursts (one burst is a stack of one), each input once.  A detection
-is a statistic strictly above its threshold (`montecarlo._exceeding`).
+is a statistic strictly above its threshold (`montecarlo._exceedance_curves`).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ distinct draw law (a delta or SNR grid shares one set of draws, a Gamma-shape
 grid draws per point), and every block of a sweep or a calibration goes
 through one process pool.  A `pd_curves` calibration is one such run: its
 fixed detectors at the matched scenario and each truth-reading detector at
-every SNR.  Curves keep per-point exceedance counts as blocks arrive, never a
-point's statistics.
+every SNR.  `_exceedance_curves` keeps per-point exceedance counts as blocks
+arrive, never a point's statistics, for simulated points and recorded bins.
 
 Thresholds are upper order statistics of the simulated null distribution
 (rank ceil((1 - pfa) * trials), ascending), tested with strict exceedance.
@@ -215,6 +215,17 @@ def _block_results(fn, context, blocks: list, workers: int):
             raise ValueError(f"a worker process died; the block at {blocks[done].at()} never finished") from None
 
 
+def _scored(cfg, points, hypothesis: Hypothesis, trials: int, seed: int, workers: int):
+    """Yield (point index, {kind: statistics}) per block of the trials and (scenario, kinds) point.
+
+    The trials are simulated once, through one pool, and points whose
+    scenarios share a draw law share the draws.
+    """
+    context = (cfg, points, hypothesis, seed)
+    for block in _block_results(_sample_block, context, _trial_blocks(trials), workers):
+        yield from enumerate(block)
+
+
 def sample_statistics(
     kinds,
     cfg: EstimationConfig | None,
@@ -232,9 +243,8 @@ def sample_statistics(
     whose result never came.
     """
     kinds = list(kinds)
-    context = (cfg, [(scen, kinds)], hypothesis, seed)
-    blocks = list(_block_results(_sample_block, context, _trial_blocks(trials), workers))
-    return {kind: np.concatenate([b[0][kind] for b in blocks]) for kind in kinds}
+    blocks = [stats for _, stats in _scored(cfg, [(scen, kinds)], hypothesis, trials, seed, workers)]
+    return {kind: np.concatenate([stats[kind] for stats in blocks]) for kind in kinds}
 
 
 def statistics_for_bursts(bursts, kinds, cfg: EstimationConfig | None = None) -> dict:
@@ -326,11 +336,9 @@ def _calibrate(cfg, points, nominal_pfa: float, trials: int, seed: int, workers:
     """
     _check_calibration_size(trials, nominal_pfa)
     tails = [{kind: _UpperTail(nominal_pfa, trials) for kind in kinds} for _, kinds in points]
-    context = (cfg, points, Hypothesis.H0, seed)
-    for block in _block_results(_sample_block, context, _trial_blocks(trials), workers):
-        for point_tails, stats in zip(tails, block):
-            for kind, tail in point_tails.items():
-                tail.add(stats[kind])
+    for i, stats in _scored(cfg, points, Hypothesis.H0, trials, seed, workers):
+        for kind, tail in tails[i].items():
+            tail.add(stats[kind])
     return [{kind: tail.eta() for kind, tail in point_tails.items()} for point_tails in tails]
 
 
@@ -338,32 +346,22 @@ def _h0_abscissa(scen: ScenarioConfig) -> float:
     return float(scen.delta if scen.delta is not None else scen.texture_shape)
 
 
-def _exceeding(stats: np.ndarray, threshold, i: int) -> int:
-    """How many statistics strictly exceed the threshold at point i (one eta, or one per point).
+def _exceedance_curves(kinds, thresholds: dict, abscissas, trials: int, scored) -> dict:
+    """{kind: [CurvePoint per abscissa]}, the exceedance rates of `trials` bursts per point.
 
-    A tie is no detection.
+    `scored` yields (point index, {kind: statistics}) for each block of a
+    point's bursts, simulated trials or a recorded bin's windows.  Each
+    block's statistics are reduced to exceedance counts as it arrives, so
+    only the counts are kept.  A kind's threshold is one eta, or one per
+    point; a statistic strictly above it is a detection, a tie is not.
     """
-    eta = threshold if np.ndim(threshold) == 0 else threshold[i]
-    return int(np.count_nonzero(stats > eta))
-
-
-def _exceedance_curves(kinds, cfg, thresholds: dict, points, hypothesis, trials, seed, workers) -> dict:
-    """Exceedance-rate curves over (abscissa, scenario) points.
-
-    Every detector sees the same simulated bursts at each point, and every
-    point the same trials: the trials are simulated once, through one pool,
-    and points whose scenarios share a draw law share the draws.  Each
-    block's statistics are reduced to exceedance counts as the block
-    arrives, so only the counts are kept.
-    """
-    counts = {kind: [0] * len(points) for kind in kinds}
-    context = (cfg, [(scen, kinds) for _, scen in points], hypothesis, seed)
-    for block in _block_results(_sample_block, context, _trial_blocks(trials), workers):
-        for i, stats in enumerate(block):
-            for kind in kinds:
-                counts[kind][i] += _exceeding(stats[kind], thresholds[kind], i)
+    counts = {kind: [0] * len(abscissas) for kind in kinds}
+    for i, stats in scored:
+        for kind in kinds:
+            eta = thresholds[kind] if np.ndim(thresholds[kind]) == 0 else thresholds[kind][i]
+            counts[kind][i] += int(np.count_nonzero(stats[kind] > eta))
     return {
-        kind: [curve_point(abscissa, counts[kind][i], trials) for i, (abscissa, _) in enumerate(points)]
+        kind: [curve_point(abscissa, counts[kind][i], trials) for i, abscissa in enumerate(abscissas)]
         for kind in kinds
     }
 
@@ -389,16 +387,17 @@ def pfa_sweep(
     for kind in kinds:
         if kind not in thresholds:
             raise ValueError(f"missing threshold for {kind.value}")
-    points = [(_h0_abscissa(scen), scen) for scen in scens]
-    return _exceedance_curves(kinds, cfg, thresholds, points, Hypothesis.H0, trials, seed, workers)
+    scored = _scored(cfg, [(scen, kinds) for scen in scens], Hypothesis.H0, trials, seed, workers)
+    return _exceedance_curves(kinds, thresholds, [_h0_abscissa(scen) for scen in scens], trials, scored)
 
 
-def _snr_points(scen: ScenarioConfig, snr_grid) -> list:
-    """(SNR, scenario) per grid value; ScenarioConfig rejects NaN and +inf."""
-    points = [(float(snr), replace(scen, snr_db=float(snr))) for snr in snr_grid]
-    if not points:
-        raise ValueError("grid must be non-empty")
-    return points
+def _grid_scenario(scen: ScenarioConfig, grid_kind: str, value: float) -> ScenarioConfig:
+    """The scenario of one grid point: a heterogeneity level, Gamma shape or SNR."""
+    if grid_kind == "delta":
+        return replace(scen, delta=value, texture_shape=None)
+    if grid_kind == "q":
+        return replace(scen, delta=None, texture_shape=value)
+    return replace(scen, snr_db=value)
 
 
 def pd_curves(
@@ -425,20 +424,23 @@ def pd_curves(
     kinds = list(kinds)
     if len(set(kinds)) != len(kinds) or not kinds:
         raise ValueError("kinds must be non-empty and unique")
-    points = _snr_points(scen, snr_grid)
+    grid = [float(snr) for snr in snr_grid]
+    if not grid:
+        raise ValueError("grid must be non-empty")
+    scens = [_grid_scenario(scen, "snr", snr) for snr in grid]  # ScenarioConfig rejects NaN and +inf
     # The truth's mean moves with SNR, so a detector that reads it gets one eta
     # per SNR.  One pass over the null trials calibrates every point.
     moving = [k for k in kinds if k.requires_truth]
     fixed = [k for k in kinds if k not in moving]
     cal_points = [(scen, fixed)] if fixed else []
     if moving:
-        cal_points += [(at, moving) for _, at in points]
+        cal_points += [(at, moving) for at in scens]
     etas = _calibrate(cfg, cal_points, nominal_pfa, cal_trials, cal_seed, workers)
     thresholds = etas.pop(0) if fixed else {}
     thresholds.update({k: tuple(at[k] for at in etas) for k in moving})
 
-    curves = _exceedance_curves(kinds, cfg, thresholds, points, Hypothesis.H1, trials, seed, workers)
-    return curves, thresholds
+    scored = _scored(cfg, [(at, kinds) for at in scens], Hypothesis.H1, trials, seed, workers)
+    return _exceedance_curves(kinds, thresholds, grid, trials, scored), thresholds
 
 
 def _trace_block(context, block: _Block) -> np.ndarray:

@@ -15,13 +15,13 @@ branches that keep full accuracy over the whole real line:
   expression loses all significant digits out there).
 
 `log1p_mills` is that core behind input validation.  The direction EM loop
-calls `_em_parts`, which skips validation and adds the conditional moments
-to the log term of the same evaluation; its continued fraction starts at
-t = -4, because the direct moment forms cancel below it.  Just above -4
-they still lose a few digits: against a 50-digit mpmath oracle,
-`_em_parts`'s worst relative error in the mean on (-4, -3.5] is 1.0e-13
-(20,000 points, four variances).  `cond_mean_norm` and
-`cond_mean_sq_residual` are `_em_parts` behind input validation.
+calls `_em_core`, unvalidated, for the Mills-ratio parts of the log term,
+then `_em_mean` or `_em_resid` for the one moment a pass reads; there the
+continued fraction starts at t = -4, because the direct moment forms cancel
+below it.  Just above -4 they still lose a few digits: against a 50-digit
+mpmath oracle, the worst relative error in the mean on (-4, -3.5] is 1.0e-13
+(20,000 points, four variances).  `_em_parts` runs all three; behind input
+validation it is `cond_mean_norm` and `cond_mean_sq_residual`.
 
 The batched estimators and detectors work on (B, K, 2) stacks of I/Q
 pairs.  numpy runs an operation whose innermost axis has length 2 (a

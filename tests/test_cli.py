@@ -215,10 +215,11 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "file_cfg, flags",
         [({}, ["--trials", "0"]), ({"trials": 500}, []), ({}, ["--snr-db", "7"]),
-         ({"snr_db": 7.0}, []), ({}, ["--target-phase", "1.0"]), ({"target_phase": 1.0}, [])],
+         ({"snr_db": 7.0}, []), ({}, ["--target-phase", "1.0"]), ({"target_phase": 1.0}, []),
+         ({}, ["--seed", "5", "--cal-seed", "7"]), ({"seed": 5, "cal_seed": 7}, [])],
     )
     def test_recorded_mode_refuses_unread_settings(self, tmp_path, capsys, file_cfg, flags):
-        """A recorded sweep reads no trial count, SNR or target phase: refuse them."""
+        """A recorded sweep reads no trial count, SNR or target phase, nor a seed beside its cal_seed."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(file_cfg))
         args = ["cfar-sweep", "--config", str(path), "--recorded", FIXTURE, "--detectors", "ed",
@@ -227,6 +228,11 @@ class TestParseConfig:
             parse_config(args)
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: recorded mode does not take")
+
+    def test_recorded_seed_sets_only_the_calibration_seed(self, tmp_path):
+        config = parse_config(["cfar-sweep", "--recorded", FIXTURE, "--seed", "5",
+                               "--out", str(tmp_path / "s.csv")])
+        assert (config.seed, config.cal_seed) == (None, 6)
 
     @pytest.mark.parametrize(
         "file_cfg, flags, given",
@@ -256,6 +262,18 @@ class TestParseConfig:
             parse_config(args)
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: duplicate range bins")
+
+    @pytest.mark.parametrize("file_cfg, flags", [({}, ["--bins", ""]), ({}, ["--bins", ","]), ({"bins": []}, [])])
+    def test_empty_recorded_bins_rejected(self, tmp_path, capsys, file_cfg, flags):
+        """An empty bin list is refused before the file is read, as an empty grid is."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        args = ["cfar-sweep", "--config", str(path), "--recorded", str(tmp_path / "missing.csv"),
+                "--detectors", "ed", *flags, "--out", str(tmp_path / "s.csv")]
+        with pytest.raises(ConfigError, match="^--bins needs at least one value$"):
+            parse_config(args)
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: --bins needs at least one value\n"
 
     def test_calibration_floor_enforced(self, tmp_path):
         out = str(tmp_path / "c.csv")

@@ -17,7 +17,7 @@ from hetdet.montecarlo import (
     AlgorithmTag,
     CurvePoint,
     _UpperTail,
-    _exceeding,
+    _exceedance_curves,
     calibrate_thresholds,
     convergence_trace,
     curve_point,
@@ -119,13 +119,16 @@ class TestCurvePoint:
 
 class TestExceedanceCurves:
     def test_strict_threshold(self):
-        # Every curve, synthetic or recorded, counts with `_exceeding`.
-        stats = np.array([1.5, 1.0, 0.5])
+        # Every curve, synthetic or recorded, counts in `_exceedance_curves`.
+        ed = DetectorKind.ED
+        stats = {ed: np.array([1.5, 1.0, 0.5])}
         # Only 1.5 exceeds 1.0: a tie is no detection.
-        assert _exceeding(stats, 1.0, 0) == 1
+        one = _exceedance_curves([ed], {ed: 1.0}, [0.0], 3, [(0, stats)])
+        assert one[ed][0].estimate == 1 / 3
         # One threshold per point may come in any sequence, here an array.
-        per_point = np.array([1.0, 0.5])
-        assert [_exceeding(stats, per_point, i) for i in (0, 1)] == [1, 2]
+        per_point = {ed: np.array([1.0, 0.5])}
+        two = _exceedance_curves([ed], per_point, [0.0, 1.0], 3, [(0, stats), (1, stats)])
+        assert [pt.estimate for pt in two[ed]] == [1 / 3, 2 / 3]
 
 
 class TestThresholdRank:

@@ -9,26 +9,28 @@ through its module global hides it from the trace.
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
-from hetdet import detectors, estimation
+from hetdet import cli, detectors, estimation
 from hetdet.detectors import DetectorKind, statistics_batch
 from hetdet.scenario import Hypothesis, ScenarioConfig, directions, gen_block
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+TESTS = pathlib.Path(__file__).resolve().parent
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 
-def _wraps():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPS
+    return module
 
 
 def test_every_wrapped_name_resolves():
-    wraps = _wraps()
+    wraps = _tracer().WRAPS
     assert wraps
     for module_name, attr, _, _ in wraps:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
@@ -93,3 +95,43 @@ def test_every_kind_shares_one_run_of_each_estimator(monkeypatch):
     calls = _count_engines(monkeypatch)
     assert list(_batch(list(DetectorKind))) == list(DetectorKind)
     assert calls == {"cyclic_ml_batch": 1, "cyclic_em_batch": 1, "log1p_mills": len(DIRECTION_STATISTICS)}
+
+
+# Tiny runs of each command at one worker, and the span names the tracer sees:
+# every layer the command reaches through a wrapped module global.
+_CALIBRATED = ["--pfa", "0.1", "--cal-trials", "1000", "--workers", "1"]
+_WRITERS = {"montecarlo.write_curves_csv", "montecarlo.write_manifest"}
+_SCORING = {"detectors.statistics_batch", "estimation.cyclic_ml_batch", "numerics.log1p_mills"}
+COMMAND_SPANS = {
+    "recorded-cfar-sweep": (
+        ["cfar-sweep", "--detectors", "gd-he,c-agd,ed", "--recorded", str(TESTS / "data" / "recorded_clutter.csv"),
+         "--k", "8", "--stride", "4", *_CALIBRATED],
+        {"scenario.ingest_recorded", "scenario.sliding_bursts", "montecarlo.statistics_for_bursts",
+         "montecarlo.calibrate_thresholds", *_SCORING, *_WRITERS},
+    ),
+    "synthetic-cfar-sweep": (
+        ["cfar-sweep", "--detectors", "gd-he,c-agd,ed", "--delta-grid", "0,10", "--trials", "50", *_CALIBRATED],
+        {"montecarlo.calibrate_thresholds", "montecarlo.pfa_sweep", *_SCORING, *_WRITERS},
+    ),
+    "pd-curve": (
+        ["pd-curve", "--detectors", "agd,gd-he,ed", "--snr-grid", "6,9", "--trials", "20", *_CALIBRATED],
+        {"montecarlo.pd_curves", "estimation.cyclic_em_batch", "estimation.em_mean_batch",
+         "estimation.em_sigma_batch", "estimation.angular_loglik", *_SCORING, *_WRITERS},
+    ),
+    "convergence": (
+        ["convergence", "--algorithm", "cyclic-em", "--trials", "8"],
+        {"scenario.gen_block", "estimation.em_mean_batch", "estimation.em_sigma_batch",
+         "estimation.angular_loglik", "numerics.log1p_mills", "montecarlo.write_manifest"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_SPANS))
+def test_each_command_shows_the_tracer_its_layers(tmp_path, capsys, command):
+    """A refactor that calls a layer other than through its wrapped global zeroes its metrics."""
+    argv, expected = COMMAND_SPANS[command]
+    modules = {name: module for name, module in sys.modules.items() if name.startswith("hetdet")}
+    with _tracer().Tracer(command, modules) as tracer:
+        assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    capsys.readouterr()
+    assert {span.name for span in tracer.spans} == expected
